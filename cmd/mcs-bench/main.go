@@ -18,10 +18,13 @@
 // and the Figure 4 sweeps (experiment suite) — regresses by more than
 // 25% in ns/op or allocs/op (the `make bench-diff` /
 // `make bench-diff-core` gates; other benchmarks are reported but do
-// not gate). Two absolute gates ride along: AuctionNew must stay at or
-// under 300 allocs/op, and the parallel Figure 4 sweep must beat the
-// sequential one by at least 2x on 4+ cores (4x on 8+); the speedup
-// gate is skipped — with a note — on machines too small to show it.
+// not gate). Absolute gates ride along: AuctionNew must stay at or
+// under 300 allocs/op; the Setting I scaling point AuctionNew/N=800
+// must stay at or under 60k gain evaluations (deterministic, so
+// host-independent) and 40 ms/op (loose, so it holds on slow runners);
+// and the parallel Figure 4 sweep must beat the sequential one by at
+// least 2x on 4+ cores (4x on 8+); the speedup gate is skipped — with
+// a note — on machines too small to show it.
 //
 // With -events-out / -manifest-out the run additionally performs an
 // audited epsilon sweep — one metered auction whose build, reweight and
@@ -50,13 +53,19 @@ type benchResult struct {
 	NsPerOp     int64  `json:"ns_per_op"`
 	AllocsPerOp int64  `json:"allocs_per_op"`
 	BytesPerOp  int64  `json:"bytes_per_op"`
+	// Metrics holds the benchmark's b.ReportMetric values by unit
+	// (e.g. "gain-evals").
+	Metrics map[string]float64 `json:"metrics,omitempty"`
 }
 
 type benchFile struct {
-	Schema     string        `json:"schema"`
-	Go         string        `json:"go"`
-	GOOS       string        `json:"goos"`
-	GOARCH     string        `json:"goarch"`
+	Schema string `json:"schema"`
+	Go     string `json:"go"`
+	GOOS   string `json:"goos"`
+	GOARCH string `json:"goarch"`
+	// GOMAXPROCS and NumCPU record the machine the numbers came from.
+	GOMAXPROCS int           `json:"gomaxprocs"`
+	NumCPU     int           `json:"num_cpu"`
 	Workers    int           `json:"workers"`
 	Suite      string        `json:"suite,omitempty"`
 	Benchmarks []benchResult `json:"benchmarks"`
@@ -79,6 +88,20 @@ const allocGateFloor = 64
 // auctionNewAllocCeiling is the absolute allocs/op budget for the
 // scratch-arena build path; the pre-arena baseline sat at 2813.
 const auctionNewAllocCeiling = 300
+
+// scalingGatePoint is the Setting I scaling benchmark the absolute
+// cover-kernel gates apply to.
+const scalingGatePoint = "AuctionNew/N=800"
+
+// scalingGainEvalCeiling bounds the marginal-gain evaluations of one
+// build at scalingGatePoint. The count is deterministic, so the gate
+// holds on any host; solving every candidate count from scratch cost
+// 439,103, the greedy chain 22,069.
+const scalingGainEvalCeiling = 60000
+
+// scalingNsCeiling is a loose wall-clock bound at scalingGatePoint:
+// about 7x the chain's time on a 2-vCPU VM, half the per-count solve's.
+const scalingNsCeiling = 40_000_000
 
 // gated reports whether a benchmark participates in the bench-diff
 // regression gate: the auction build/rebuild/run path (which every
@@ -134,12 +157,14 @@ func run(args []string) error {
 	}
 
 	file := benchFile{
-		Schema:  "mcs-bench/v1",
-		Go:      runtime.Version(),
-		GOOS:    runtime.GOOS,
-		GOARCH:  runtime.GOARCH,
-		Workers: *workers,
-		Suite:   *suite,
+		Schema:     "mcs-bench/v1",
+		Go:         runtime.Version(),
+		GOOS:       runtime.GOOS,
+		GOARCH:     runtime.GOARCH,
+		GOMAXPROCS: runtime.GOMAXPROCS(0),
+		NumCPU:     runtime.NumCPU(),
+		Workers:    *workers,
+		Suite:      *suite,
 	}
 	for _, bench := range benches {
 		fn := bench.fn
@@ -153,6 +178,7 @@ func run(args []string) error {
 			NsPerOp:     r.NsPerOp(),
 			AllocsPerOp: r.AllocsPerOp(),
 			BytesPerOp:  r.AllocedBytesPerOp(),
+			Metrics:     r.Extra,
 		})
 		fmt.Fprintf(os.Stderr, "%-28s %12d ns/op %8d B/op %6d allocs/op\n",
 			bench.name, r.NsPerOp(), r.AllocedBytesPerOp(), r.AllocsPerOp())
@@ -320,8 +346,9 @@ func diffAgainstBaseline(path string, fresh benchFile) error {
 }
 
 // absoluteGates checks the run against fixed budgets rather than the
-// committed baseline: the AuctionNew allocation ceiling (core suite)
-// and the sequential-vs-parallel Figure 4 speedup (experiment suite).
+// committed baseline: the AuctionNew allocation ceiling and the
+// scaling point's gain-evaluation and ns/op ceilings (core suite), and
+// the sequential-vs-parallel Figure 4 speedup (experiment suite).
 // The speedup gate scales with the machine — 4x on 8+ cores, 2x on
 // 4+ — and is skipped with a note below 4, where the pool cannot win.
 func absoluteGates(fresh benchFile) []string {
@@ -333,6 +360,16 @@ func absoluteGates(fresh benchFile) []string {
 	if b, ok := byName["AuctionNew"]; ok && b.AllocsPerOp > auctionNewAllocCeiling {
 		failures = append(failures, fmt.Sprintf(
 			"AuctionNew allocation ceiling: %d allocs/op > %d", b.AllocsPerOp, auctionNewAllocCeiling))
+	}
+	if b, ok := byName[scalingGatePoint]; ok {
+		if evals := b.Metrics["gain-evals"]; evals > scalingGainEvalCeiling {
+			failures = append(failures, fmt.Sprintf(
+				"%s gain evaluations: %.0f > %d", scalingGatePoint, evals, scalingGainEvalCeiling))
+		}
+		if b.NsPerOp > scalingNsCeiling {
+			failures = append(failures, fmt.Sprintf(
+				"%s wall time: %d ns/op > %d", scalingGatePoint, b.NsPerOp, scalingNsCeiling))
+		}
 	}
 	seq, okSeq := byName["SweepFigure4Sequential"]
 	par, okPar := byName["SweepFigure4Parallel"]
@@ -359,12 +396,36 @@ func absoluteGates(fresh benchFile) []string {
 	return failures
 }
 
+// scalingSizes are the Setting I worker counts of the AuctionNew
+// scaling series.
+var scalingSizes = []int{100, 400, 800, 1600}
+
 // coreBenches is the original suite: auction construction and sampling
-// plus the telemetry nop-vs-live overhead pair.
+// plus the telemetry nop-vs-live overhead pair, followed by the Setting
+// I AuctionNew/N=... scaling series, which reports each build's
+// marginal-gain evaluations as "gain-evals".
 func coreBenches(workers int) ([]namedBench, error) {
 	inst, err := dphsrc.SettingI(workers).Generate(rand.New(rand.NewSource(1)))
 	if err != nil {
 		return nil, err
+	}
+	var scaling []namedBench
+	for _, n := range scalingSizes {
+		sized, err := dphsrc.SettingI(n).Generate(rand.New(rand.NewSource(1)))
+		if err != nil {
+			return nil, err
+		}
+		scaling = append(scaling, namedBench{fmt.Sprintf("AuctionNew/N=%d", n), func(b *testing.B) {
+			evals := 0
+			for i := 0; i < b.N; i++ {
+				a, err := dphsrc.New(sized)
+				if err != nil {
+					b.Fatal(err)
+				}
+				evals = a.GainEvaluations()
+			}
+			b.ReportMetric(float64(evals), "gain-evals")
+		}})
 	}
 	auction, err := dphsrc.New(inst)
 	if err != nil {
@@ -379,7 +440,7 @@ func coreBenches(workers int) ([]namedBench, error) {
 	nopCounter := nopReg.Counter("mcs_bench_ops_total", "")
 	liveCounter := liveReg.Counter("mcs_bench_ops_total", "Benchmark ops.")
 
-	return []namedBench{
+	return append([]namedBench{
 		{"AuctionNew", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if _, err := dphsrc.New(inst); err != nil {
@@ -452,7 +513,7 @@ func coreBenches(workers int) ([]namedBench, error) {
 				liveEv.Info("bench.tick", dphsrc.EventInt("i", i), dphsrc.EventRedacted("bid"))
 			}
 		}},
-	}, nil
+	}, scaling...), nil
 }
 
 // experimentBenches covers the sweep-engine hot paths this repo

@@ -2,6 +2,7 @@ package main
 
 import (
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -53,6 +54,20 @@ func TestAbsoluteGates(t *testing.T) {
 		t.Errorf("over-ceiling run produced %v, want one failure", failures)
 	}
 
+	scaling := func(evals float64, ns int64) benchFile {
+		return benchFile{Benchmarks: []benchResult{{Name: scalingGatePoint, NsPerOp: ns,
+			Metrics: map[string]float64{"gain-evals": evals}}}}
+	}
+	if failures := absoluteGates(scaling(scalingGainEvalCeiling, scalingNsCeiling)); len(failures) != 0 {
+		t.Errorf("at-ceiling scaling point failed gates: %v", failures)
+	}
+	if failures := absoluteGates(scaling(439103, scalingNsCeiling)); len(failures) != 1 {
+		t.Errorf("per-count gain evaluations produced %v, want one failure", failures)
+	}
+	if failures := absoluteGates(scaling(22000, scalingNsCeiling+1)); len(failures) != 1 {
+		t.Errorf("slow scaling point produced %v, want one failure", failures)
+	}
+
 	slow := benchFile{Benchmarks: []benchResult{
 		{Name: "SweepFigure4Sequential", NsPerOp: 1000},
 		{Name: "SweepFigure4Parallel", NsPerOp: 999},
@@ -88,6 +103,9 @@ func TestRunWritesParseableJSON(t *testing.T) {
 	if file.Schema != "mcs-bench/v1" {
 		t.Errorf("schema %q", file.Schema)
 	}
+	if file.GOMAXPROCS <= 0 || file.NumCPU <= 0 {
+		t.Errorf("machine not recorded: GOMAXPROCS=%d NumCPU=%d", file.GOMAXPROCS, file.NumCPU)
+	}
 	byName := make(map[string]benchResult)
 	for _, b := range file.Benchmarks {
 		if b.N <= 0 || b.NsPerOp < 0 {
@@ -108,6 +126,12 @@ func TestRunWritesParseableJSON(t *testing.T) {
 	}
 	if _, ok := byName["AuctionNewInstrumented"]; !ok {
 		t.Error("instrumented auction benchmark missing")
+	}
+	for _, n := range scalingSizes {
+		name := fmt.Sprintf("AuctionNew/N=%d", n)
+		if b, ok := byName[name]; !ok || b.Metrics["gain-evals"] <= 0 {
+			t.Errorf("scaling point %s missing or without gain-evals: %+v", name, b)
+		}
 	}
 }
 

@@ -98,10 +98,6 @@ func WithRule(r SelectionRule) Option { return core.WithRule(r) }
 // profiles for privacy analysis.
 func WithPriceSet(p []float64) Option { return core.WithPriceSet(p) }
 
-// WithParallelism computes winner sets for distinct candidate counts on
-// up to n goroutines; results are identical to the sequential default.
-func WithParallelism(n int) Option { return core.WithParallelism(n) }
-
 // WithTelemetry records the auction's construction counters and timings
 // into a telemetry registry; nil disables recording at zero cost.
 func WithTelemetry(reg *TelemetryRegistry) Option { return core.WithTelemetry(reg) }

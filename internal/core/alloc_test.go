@@ -54,31 +54,31 @@ func TestAuctionRebuildAllocCeiling(t *testing.T) {
 	}
 }
 
-// TestGreedyCoverWarmScratchAllocFree: with a warm coverScratch the
-// greedy cover inner loop — the single hottest routine in the repo —
+// TestGreedyCoverWarmScratchAllocFree: with warm buffers the greedy
+// cover kernel — the minimum-feasible-count pass and the chain walked
+// over every candidate count, the single hottest routine in the repo —
 // must not allocate at all.
 func TestGreedyCoverWarmScratchAllocFree(t *testing.T) {
 	inst := allocInstance()
 	var cp coverProblem
 	cp.reset(&inst)
-	cands := make([]int, len(inst.Workers))
-	for i := range cands {
-		cands[i] = i
+	sorted := make([]int, len(inst.Workers))
+	for i := range sorted {
+		sorted[i] = i
 	}
-	s := &coverScratch{}
-	if _, ok := cp.greedyCover(s, cands); !ok { // warm the scratch
+	var s coverScratch
+	var c coverChain
+	walk := func() {
+		c.reset(&cp, len(sorted))
+		for count := cp.minFeasibleCount(&s, sorted); count <= len(sorted); count++ {
+			cp.extend(&c, sorted, count)
+		}
+	}
+	walk() // warm every buffer
+	if !c.covered() {
 		t.Fatal("alloc instance not coverable")
 	}
-	allocs := testing.AllocsPerRun(50, func() {
-		cp.greedyCover(s, cands)
-	})
-	if allocs != 0 {
-		t.Fatalf("warm greedyCover allocates %.1f/op, want 0", allocs)
-	}
-	if !cp.feasible(s, cands) {
-		t.Fatal("feasible disagrees with greedyCover")
-	}
-	if allocs := testing.AllocsPerRun(50, func() { cp.feasible(s, cands) }); allocs != 0 {
-		t.Fatalf("warm feasible allocates %.1f/op, want 0", allocs)
+	if allocs := testing.AllocsPerRun(50, walk); allocs != 0 {
+		t.Fatalf("warm chain allocates %.1f/op, want 0", allocs)
 	}
 }

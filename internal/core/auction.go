@@ -5,7 +5,6 @@ import (
 	"math"
 	"math/rand"
 	"sort"
-	"sync"
 
 	"github.com/dphsrc/dphsrc/internal/mechanism"
 	"github.com/dphsrc/dphsrc/internal/telemetry"
@@ -17,8 +16,9 @@ import (
 type SelectionRule int
 
 const (
-	// RuleGreedy is Algorithm 1's marginal-gain greedy (lazy-evaluated;
-	// identical output to the naive scan).
+	// RuleGreedy is Algorithm 1's marginal-gain greedy (lazy-evaluated
+	// and shared across candidate counts; identical output to the naive
+	// scan).
 	RuleGreedy SelectionRule = iota
 	// RuleGreedyNaive is the literal per-selection argmax scan of
 	// Algorithm 1; used for ablation benches and cross-checks.
@@ -49,7 +49,6 @@ type config struct {
 	rule        SelectionRule
 	priceSet    []float64
 	hasPriceSet bool
-	parallelism int
 	telemetry   *telemetry.Registry
 	events      *evlog.Logger
 }
@@ -75,19 +74,6 @@ func WithPriceSet(p []float64) Option {
 		c.priceSet = append([]float64(nil), p...)
 		c.hasPriceSet = true
 	}
-}
-
-// WithParallelism computes the winner sets for distinct candidate
-// counts on up to n goroutines. The winner set for each count is a pure
-// function of the instance, so results are identical to the sequential
-// default; only construction wall-clock changes. Values below 2 keep
-// the sequential path. Callers that already fan instances across a
-// worker pool (the experiment sweep engine) should keep inner builds
-// sequential: the pool owns the parallelism budget, and nesting the two
-// oversubscribes the scheduler (see DESIGN.md "Hot path & scratch
-// memory").
-func WithParallelism(n int) Option {
-	return func(c *config) { c.parallelism = n }
 }
 
 // WithTelemetry records construction metrics (mcs_core_*) and the
@@ -149,7 +135,7 @@ type Auction struct {
 	// latest build; exposed for the lazy-vs-naive ablation.
 	gainEvals int
 	// cfg preserves the construction options so Rebuild reconstructs
-	// under exactly the rule, support and parallelism New was given.
+	// under exactly the rule and support New was given.
 	cfg config
 	// bs owns every reusable build buffer. It is nil on Reweight-derived
 	// auctions, whose prices alias the base auction's buffers; Rebuild
@@ -160,8 +146,8 @@ type Auction struct {
 
 // buildState is the reusable scratch memory behind build: the CSR cover
 // problem, the bid-sorted index and bid arrays, the price-to-count
-// tables, the per-count winner cache, the payment vector and the
-// per-goroutine cover scratches, plus the flattened backing arrays for
+// tables, the per-count winner cache, the payment vector, the cover
+// scratch and the greedy chain, plus the flattened backing arrays for
 // the auction's private instance copy. One buildState serves one
 // auction; nothing here is shared across auctions.
 type buildState struct {
@@ -173,23 +159,15 @@ type buildState struct {
 	distinct  []int
 	// cache is indexed by candidate count (0..N); only entries for the
 	// current build's distinct counts are written and read.
-	cache     []coverResult
-	payments  []float64
-	scratches []*coverScratch
+	cache    []coverResult
+	payments []float64
+	scratch  coverScratch
+	chain    coverChain
 	// bundleFlat/skillFlat back the instance copy's per-worker bundle
 	// and skill-row slices in two contiguous arrays, replacing the
 	// two-allocations-per-worker deep clone.
 	bundleFlat []int
 	skillFlat  []float64
-}
-
-// scratch returns the cover scratch owned by pool worker w, creating it
-// on first use. Callers hand index 0 to the sequential path.
-func (bs *buildState) scratch(w int) *coverScratch {
-	for len(bs.scratches) <= w {
-		bs.scratches = append(bs.scratches, &coverScratch{})
-	}
-	return bs.scratches[w]
 }
 
 // cloneInto deep-copies src into dst reusing dst's and bs's backing
@@ -283,10 +261,9 @@ func New(inst Instance, opts ...Option) (*Auction, error) {
 // tables, the winner-set arena, the prices and payment vectors — so
 // round loops (internal/protocol, internal/shard) pay New's allocations
 // once per partition instead of once per round. The construction
-// options New was given (rule, explicit price set, parallelism,
-// telemetry, event log) carry over, which in particular keeps a
-// WithPriceSet support fixed across rounds exactly as the DP guarantee
-// requires. The result is bitwise-identical to New(inst, sameOptions...).
+// options New was given (rule, explicit price set, telemetry, event
+// log) carry over, which in particular keeps a WithPriceSet support
+// fixed across rounds exactly as the DP guarantee requires. The result is bitwise-identical to New(inst, sameOptions...).
 //
 // Rebuild invalidates everything obtained from the previous build:
 // Support/SupportPrices/PMF slices, and any auction derived from the
@@ -324,9 +301,7 @@ func (a *Auction) build(src *Instance) error {
 	bs := a.bs
 	cloneInto(&a.inst, src, bs)
 	bs.cp.reset(&a.inst)
-	for _, s := range bs.scratches {
-		s.arena.reset()
-	}
+	bs.scratch.arena.reset()
 	n := len(a.inst.Workers)
 
 	// Worker indices ascending by bid with index tie-break (Algorithm 1
@@ -353,9 +328,9 @@ func (a *Auction) build(src *Instance) error {
 	// Winner sets depend on the price only through the candidate count
 	// (how many sorted bids are <= price), so compute once per distinct
 	// count. This is the interval-sharing optimization of Algorithm 1
-	// lines 14-15 that removes the dependency on |P|. Distinct counts
-	// are independent pure computations, so WithParallelism fans them
-	// out across goroutines.
+	// lines 14-15 that removes the dependency on |P|. The support is
+	// ascending, so the distinct counts come out ascending too, which
+	// is the order coverByCount's greedy chain needs.
 	if cap(bs.seenCount) < n+1 {
 		bs.seenCount = make([]bool, n+1)
 	} else {
@@ -440,7 +415,7 @@ func (a *Auction) build(src *Instance) error {
 	a.mech = mech
 	a.mech.Instrument(reg)
 	a.mech.InstrumentEvents(a.ev)
-	a.gainEvals = int(bs.cp.evals.Load())
+	a.gainEvals = bs.cp.evals
 
 	a.ev.Info("core.build",
 		evlog.Int("workers", n),
@@ -515,76 +490,51 @@ type coverResult struct {
 }
 
 // coverByCount computes the winner set for every distinct candidate
-// count into bs.cache, optionally in parallel. Each goroutine owns one
-// coverScratch, so the hot cover routines run allocation-free; retained
-// winner slices are saved into the computing goroutine's arena.
-// Per-count evaluation time lands in mcs_core_cover_seconds; the
-// histogram is atomic, so the parallel path observes safely from every
-// worker goroutine.
+// count into bs.cache. One prefix-coverage pass finds the smallest
+// feasible count; smaller counts are infeasible without a cover run.
+// RuleGreedy then walks the remaining counts in ascending order on one
+// coverChain, persisting a new winner slice only when the trajectory
+// changes (unchanged counts share the previous slice); the other rules
+// solve each count from scratch. Per-count time lands in
+// mcs_core_cover_seconds and each count emits one core.cover event.
 func (a *Auction) coverByCount() {
 	bs := a.bs
 	cp := &bs.cp
+	s := &bs.scratch
 	reg := a.reg
 	coverSeconds := reg.Histogram("mcs_core_cover_seconds",
 		"Winner-set computation time per distinct candidate count.", telemetry.TimeBuckets)
-	compute := func(k int, s *coverScratch) {
+	minCount := cp.minFeasibleCount(s, bs.sorted)
+	if a.rule == RuleGreedy {
+		bs.chain.reset(cp, len(bs.sorted))
+	}
+	var chained []int
+	for _, count := range bs.distinct {
 		start := reg.Now()
-		count := bs.distinct[k]
-		cands := bs.sorted[:count]
 		res := coverResult{}
-		if cp.feasible(s, cands) {
-			sel, feas := a.cover(cp, s, cands)
-			res = coverResult{winners: s.arena.save(sel), feasible: feas}
+		if count >= minCount {
+			cands := bs.sorted[:count]
+			switch a.rule {
+			case RuleGreedyNaive:
+				sel, feas := cp.greedyCoverNaive(s, cands)
+				res = coverResult{winners: s.arena.save(sel), feasible: feas}
+			case RuleStatic:
+				sel, feas := cp.staticCover(s, cands)
+				res = coverResult{winners: s.arena.save(sel), feasible: feas}
+			default:
+				if cp.extend(&bs.chain, bs.sorted, count) {
+					chained = s.arena.save(bs.chain.winners)
+				}
+				res = coverResult{winners: chained, feasible: bs.chain.covered()}
+			}
 		}
 		bs.cache[count] = res
 		coverSeconds.Observe(reg.Since(start))
-		// Candidate counts and winner-set sizes are population-level;
-		// under WithParallelism the emission order is scheduling-
-		// dependent, which is fine for an observability stream.
+		// Candidate counts and winner-set sizes are population-level.
 		a.ev.Debug("core.cover",
 			evlog.Int("candidates", count),
 			evlog.Int("winners", len(res.winners)),
 			evlog.Bool("feasible", res.feasible))
-	}
-	parallelism := a.cfg.parallelism
-	if parallelism > len(bs.distinct) {
-		parallelism = len(bs.distinct)
-	}
-	if parallelism < 2 || len(bs.distinct) < 2 {
-		s := bs.scratch(0)
-		for k := range bs.distinct {
-			compute(k, s)
-		}
-		return
-	}
-	var wg sync.WaitGroup
-	work := make(chan int, len(bs.distinct))
-	for k := range bs.distinct {
-		work <- k
-	}
-	close(work)
-	for w := 0; w < parallelism; w++ {
-		wg.Add(1)
-		go func(s *coverScratch) {
-			defer wg.Done()
-			for k := range work {
-				compute(k, s)
-			}
-		}(bs.scratch(w))
-	}
-	wg.Wait()
-}
-
-// cover dispatches to the configured selection rule. The returned slice
-// aliases s and must be persisted via s.arena before s is reused.
-func (a *Auction) cover(cp *coverProblem, s *coverScratch, cands []int) ([]int, bool) {
-	switch a.rule {
-	case RuleGreedyNaive:
-		return cp.greedyCoverNaive(s, cands)
-	case RuleStatic:
-		return cp.staticCover(s, cands)
-	default:
-		return cp.greedyCover(s, cands)
 	}
 }
 

@@ -1,9 +1,6 @@
 package core
 
-import (
-	"sort"
-	"sync/atomic"
-)
+import "sort"
 
 // residualTol is the tolerance below which a residual demand is
 // considered met; it absorbs floating-point error in the repeated
@@ -27,9 +24,8 @@ type coverProblem struct {
 	// sorts by.
 	totalQual []float64
 	// evals counts marginal-gain evaluations, instrumenting the
-	// lazy-vs-naive greedy ablation; atomic because winner sets for
-	// distinct prices may be computed concurrently.
-	evals atomic.Int64
+	// lazy-vs-naive greedy ablation.
+	evals int
 }
 
 // reset recomputes the cover view from a validated instance, reusing
@@ -57,20 +53,17 @@ func (cp *coverProblem) reset(inst *Instance) {
 		cp.totalQual = append(cp.totalQual, total)
 	}
 	cp.offs = append(cp.offs, len(cp.taskIdx))
-	cp.evals.Store(0)
+	cp.evals = 0
 }
 
-// coverScratch holds every transient buffer the winner-set routines
-// need, so repeated cover computations allocate nothing once the
-// buffers are warm. Each scratch is owned by exactly one goroutine at a
-// time: the sequential build path uses one, and WithParallelism hands
-// each pool worker its own (see Auction.coverByCount). The slices
-// returned by the cover routines alias the scratch and are only valid
-// until its next use; callers persist them through arena.save.
+// coverScratch holds every transient buffer the per-count winner-set
+// routines need, so repeated cover computations allocate nothing once
+// the buffers are warm. The slices returned by the cover routines alias
+// the scratch and are only valid until its next use; callers persist
+// them through arena.save.
 type coverScratch struct {
 	residual []float64
 	cover    []float64
-	heap     gainHeap
 	selected []int
 	active   []int
 	order    []int
@@ -117,7 +110,7 @@ func (a *intArena) reset() { a.buf = a.buf[:0] }
 // i would contribute given the current residual demands (Algorithm 1
 // line 9).
 func (cp *coverProblem) gain(i int, residual []float64) float64 {
-	cp.evals.Add(1)
+	cp.evals++
 	g := 0.0
 	for k := cp.offs[i]; k < cp.offs[i+1]; k++ {
 		r := residual[cp.taskIdx[k]]
@@ -157,49 +150,60 @@ func (cp *coverProblem) apply(i int, residual []float64) float64 {
 	return removed
 }
 
-// feasible reports whether the candidate set can cover all demands at
-// all, i.e. whether taking every candidate satisfies every task's
-// error-bound constraint. This is exactly the paper's notion of a
-// feasible price (Section IV).
-func (cp *coverProblem) feasible(s *coverScratch, candidates []int) bool {
+// minFeasibleCount returns the smallest candidate count k for which the
+// first k bid-sorted workers can cover every demand at all — the
+// paper's notion of a feasible price (Section IV) — or len(sorted)+1
+// when no prefix can. Coverage accumulates over the prefix in one
+// pass, so each task's running sum at k is exactly its sum over the
+// first k candidates; feasibility is monotone in k because every q_ij
+// is non-negative.
+func (cp *coverProblem) minFeasibleCount(s *coverScratch, sorted []int) int {
 	cover := s.cover[:0]
+	unmet := 0
 	for j := 0; j < cp.numTasks; j++ {
 		cover = append(cover, 0)
+		if 0 < cp.demands[j]-residualTol {
+			unmet++
+		}
 	}
 	s.cover = cover
-	for _, i := range candidates {
+	if unmet == 0 {
+		return 0
+	}
+	for p, i := range sorted {
 		for k := cp.offs[i]; k < cp.offs[i+1]; k++ {
-			cover[cp.taskIdx[k]] += cp.qual[k]
+			j := cp.taskIdx[k]
+			need := cp.demands[j] - residualTol
+			was := cover[j] < need
+			cover[j] += cp.qual[k]
+			if was && !(cover[j] < need) {
+				unmet--
+			}
+		}
+		if unmet == 0 {
+			return p + 1
 		}
 	}
-	for j, c := range cover {
-		if c < cp.demands[j]-residualTol {
-			return false
-		}
-	}
-	return true
+	return len(sorted) + 1
 }
 
 // gainItem is a heap entry for the lazy-greedy selection.
 type gainItem struct {
 	worker int
-	// rank is the candidate's position in the bid-sorted candidate
-	// list; ties on gain break toward the smaller rank, exactly
-	// matching the first-max behaviour of the naive argmax scan.
+	// rank is the candidate's position in the bid-sorted order; ties on
+	// gain break toward the smaller rank, exactly matching the
+	// first-max behaviour of the naive argmax scan.
 	rank int
 	gain float64
-	// round records when the gain was last evaluated; a popped entry
-	// with a stale round is re-evaluated before being trusted.
+	// round is the greedy step the gain was evaluated at; a popped
+	// entry from an earlier step is re-evaluated before being trusted.
 	round int
 }
 
-// gainHeap is a max-heap on gain with deterministic tie-breaking on the
-// earlier candidate rank (matching the first-max scan of a naive
-// argmax over the bid-sorted candidate list). The sift operations are
-// transliterated from container/heap so the element layout — and
-// therefore the exact sequence of lazy re-evaluations — is identical to
-// the previous heap.Interface implementation, while avoiding the
-// interface boxing that allocated on every Pop.
+// gainHeap is a max-heap on gain with ties broken toward the earlier
+// candidate rank. less is a strict total order (ranks are unique), so
+// the root — and with it the lazy re-evaluation sequence — depends only
+// on the set of entries, never on how they are laid out.
 type gainHeap []gainItem
 
 func (h gainHeap) less(a, b int) bool {
@@ -210,8 +214,7 @@ func (h gainHeap) less(a, b int) bool {
 	return h[a].rank < h[b].rank
 }
 
-// siftDown restores the heap property below i0 within h[:n], exactly
-// mirroring container/heap's down.
+// siftDown restores the heap property below i0 within h[:n].
 func (h gainHeap) siftDown(i0, n int) {
 	i := i0
 	for {
@@ -231,7 +234,7 @@ func (h gainHeap) siftDown(i0, n int) {
 	}
 }
 
-// initHeap establishes the heap property, mirroring container/heap.Init.
+// initHeap establishes the heap property over the whole slice.
 func (h gainHeap) initHeap() {
 	n := len(h)
 	for i := n/2 - 1; i >= 0; i-- {
@@ -239,8 +242,7 @@ func (h gainHeap) initHeap() {
 	}
 }
 
-// popTop removes the root, mirroring container/heap.Pop's swap-to-tail
-// order so the post-pop layout matches the stdlib implementation.
+// popTop removes the root.
 func (h gainHeap) popTop() gainHeap {
 	n := len(h) - 1
 	h[0], h[n] = h[n], h[0]
@@ -248,53 +250,184 @@ func (h gainHeap) popTop() gainHeap {
 	return h[:n]
 }
 
-// greedyCover runs the inner loop of Algorithm 1: repeatedly select the
-// candidate with the largest marginal coverage gain until every task's
-// residual demand reaches zero. It returns the selected workers in
-// selection order and whether the demands were fully covered. The
-// returned slice aliases s and is only valid until s is next used.
+// coverChain computes Algorithm 1's greedy winner set (lines 8-13) for
+// a rising sequence of candidate counts by carrying one greedy
+// trajectory forward instead of solving each count from scratch.
 //
-// The implementation uses lazy (CELF-style) evaluation: the marginal
-// gain sum_j min(residual_j, q_ij) is submodular in the selected set,
-// so a candidate's cached gain can only shrink as the residual shrinks.
-// A stale heap top is therefore re-evaluated and pushed back; when a
-// fresh evaluation stays on top it is exactly the argmax the naive scan
-// would have picked. greedyCoverNaive below is the direct transcription
-// used to cross-check this in tests and ablation benches.
-func (cp *coverProblem) greedyCover(s *coverScratch, candidates []int) ([]int, bool) {
-	residual := append(s.residual[:0], cp.demands...)
-	s.residual = residual
+// For a fixed candidate set the greedy is a pure function: at step t it
+// selects the candidate with the largest marginal gain against the
+// residual r_t, ties to the smaller rank, and stops once the residual
+// total drops to residualTol or no candidate has a positive gain. Lazy
+// (CELF) evaluation finds that argmax exactly: the gain
+// sum_j min(r_j, q_ij) is submodular, so — in floating point too, since
+// min and rounded addition are monotone — any gain evaluated at an
+// earlier step bounds every later one.
+//
+// Raising the count from k to k' only adds candidates whose ranks are
+// at least k, so they lose every tie against the recorded selections.
+// The greedy over k' therefore repeats k's trajectory up to the first
+// step d where a new candidate's gain strictly beats the selected gain
+// (or, on a trajectory that ran out of candidates, is positive at all).
+// extend finds d with lazy bounds; if there is none the trajectory is
+// reused unchanged, otherwise resume restarts CELF at step d from the
+// recorded residual r_d. Theorem 5's O(N^2 K) stays the worst case —
+// every count can diverge at step 0 — but consecutive counts share
+// almost all of their selections in practice.
+//
+// All buffers are reused across builds; the winner slice aliases the
+// chain and must be persisted (intArena.save) before the next extend.
+type coverChain struct {
+	// ranks holds one entry per bid-sorted candidate the trajectory
+	// currently covers.
+	ranks []chainRank
+	// steps and winners record the selections in order.
+	steps   []chainStep
+	winners []int
+	// remain[t] is the residual demand total before step t, tracked by
+	// subtraction exactly as the greedy does; len(steps)+1 entries.
+	remain []float64
+	// resid holds the residual vector before step t in row t: a flat
+	// (len(steps)+1) x numTasks slice.
+	resid []float64
+	heap  gainHeap
+}
+
+// chainRank is the chain's state for one candidate, indexed by rank.
+type chainRank struct {
+	// init is the gain against the full demand, evaluated once per
+	// build when the candidate enters.
+	init float64
+	// bound is the latest gain evaluated on the current trajectory, at
+	// step boundAt; it bounds the gain at every step from boundAt on.
+	bound   float64
+	boundAt int
+	// selAt is the step that selected the candidate, or -1.
+	selAt int
+}
+
+// chainStep is one greedy selection: the selected rank and its gain.
+type chainStep struct {
+	rank int
+	gain float64
+}
+
+// reset starts an empty trajectory over zero candidates for a build of
+// n workers, sizing every buffer that n bounds so the chain allocates
+// nothing more once warm.
+func (c *coverChain) reset(cp *coverProblem, n int) {
+	if cap(c.ranks) < n {
+		c.ranks = make([]chainRank, 0, n)
+		c.steps = make([]chainStep, 0, n)
+		c.winners = make([]int, 0, n)
+		c.remain = make([]float64, 0, n+1)
+		c.heap = make(gainHeap, 0, n)
+	}
+	c.ranks, c.steps, c.winners = c.ranks[:0], c.steps[:0], c.winners[:0]
+	c.resid = append(c.resid[:0], cp.demands...)
 	remaining := 0.0
-	for _, r := range residual {
+	for _, r := range cp.demands {
 		remaining += r
 	}
-	s.selected = s.selected[:0]
-	if remaining <= residualTol {
-		return nil, true
-	}
+	c.remain = append(c.remain[:0], remaining)
+}
 
-	if cap(s.heap) < len(candidates) {
-		s.heap = make(gainHeap, 0, len(candidates))
+// covered reports whether the trajectory meets every demand.
+func (c *coverChain) covered() bool { return c.remain[len(c.steps)] <= residualTol }
+
+// row returns the residual vector before step t.
+func (c *coverChain) row(t, numTasks int) []float64 {
+	return c.resid[t*numTasks : (t+1)*numTasks]
+}
+
+// pushRow appends a copy of the last residual row and returns it,
+// doubling the backing array when full.
+func (c *coverChain) pushRow(numTasks int) []float64 {
+	n := len(c.resid)
+	if n+numTasks > cap(c.resid) {
+		grown := make([]float64, n, 2*(n+numTasks))
+		copy(grown, c.resid)
+		c.resid = grown
 	}
-	h := s.heap[:0]
-	for rank, i := range candidates {
-		g := cp.gain(i, residual)
-		if g > 0 {
-			h = append(h, gainItem{worker: i, rank: rank, gain: g, round: 0})
+	c.resid = c.resid[:n+numTasks]
+	copy(c.resid[n:], c.resid[n-numTasks:n])
+	return c.resid[n:]
+}
+
+// extend grows the candidate set to the first count bid-sorted workers
+// (count >= len(c.ranks)) and updates the trajectory to the greedy over
+// them. It reports whether the trajectory changed.
+func (cp *coverProblem) extend(c *coverChain, sorted []int, count int) bool {
+	lo := len(c.ranks)
+	for p := lo; p < count; p++ {
+		g := cp.gain(sorted[p], cp.demands)
+		c.ranks = append(c.ranks, chainRank{init: g, bound: g, selAt: -1})
+	}
+	for t := 0; t <= len(c.steps); t++ {
+		// A newcomer displaces step t's selection only by strictly
+		// beating its gain; at the end of an uncovered trajectory any
+		// positive gain extends it.
+		beat := 0.0
+		if t < len(c.steps) {
+			beat = c.steps[t].gain
+		} else if c.covered() {
+			return false
+		}
+		for p := lo; p < count; p++ {
+			r := &c.ranks[p]
+			if r.bound <= beat {
+				continue
+			}
+			if r.boundAt != t {
+				r.bound, r.boundAt = cp.gain(sorted[p], c.row(t, cp.numTasks)), t
+				if r.bound <= beat {
+					continue
+				}
+			}
+			cp.resume(c, sorted, t)
+			return true
 		}
 	}
-	s.heap = h
+	return false
+}
+
+// resume truncates the trajectory to its first d steps and continues
+// lazy greedy from the residual before step d over every current
+// candidate. Each heap entry starts from the candidate's latest bound
+// on the kept prefix; bounds evaluated after step d belong to the
+// discarded suffix and fall back to the full-demand gain.
+func (cp *coverProblem) resume(c *coverChain, sorted []int, d int) {
+	for _, st := range c.steps[d:] {
+		c.ranks[st.rank].selAt = -1
+	}
+	k := cp.numTasks
+	c.steps, c.winners, c.remain = c.steps[:d], c.winners[:d], c.remain[:d+1]
+	c.resid = c.resid[:(d+1)*k]
+
+	h := c.heap[:0]
+	for p := range c.ranks {
+		r := &c.ranks[p]
+		if r.selAt >= 0 {
+			continue
+		}
+		if r.boundAt > d {
+			r.bound, r.boundAt = r.init, 0
+		}
+		if r.bound > 0 {
+			h = append(h, gainItem{worker: sorted[p], rank: p, gain: r.bound, round: r.boundAt})
+		}
+	}
 	h.initHeap()
 
-	selected := s.selected
-	round := 0
+	residual := c.row(d, k)
+	remaining := c.remain[d]
+	round := d
 	for remaining > residualTol && len(h) > 0 {
 		top := h[0]
 		if top.round != round {
-			// Stale gain: re-evaluate against the current residual and
-			// reposition. Submodularity guarantees the fresh gain is
-			// not larger than the cached one.
+			// Stale bound: re-evaluate against the current residual and
+			// reposition. The fresh gain is never larger.
 			fresh := cp.gain(top.worker, residual)
+			c.ranks[top.rank].bound, c.ranks[top.rank].boundAt = fresh, round
 			if fresh <= 0 {
 				h = h.popTop()
 				continue
@@ -305,23 +438,23 @@ func (cp *coverProblem) greedyCover(s *coverScratch, candidates []int) ([]int, b
 			continue
 		}
 		h = h.popTop()
-		removed := cp.apply(top.worker, residual)
-		remaining -= removed
-		selected = append(selected, top.worker)
+		c.ranks[top.rank].selAt = round
+		c.steps = append(c.steps, chainStep{rank: top.rank, gain: top.gain})
+		c.winners = append(c.winners, top.worker)
+		residual = c.pushRow(k)
+		remaining -= cp.apply(top.worker, residual)
+		c.remain = append(c.remain, remaining)
 		round++
 	}
-	s.selected = selected
-	if len(selected) == 0 {
-		return nil, remaining <= residualTol
-	}
-	return selected, remaining <= residualTol
+	c.heap = h
 }
 
 // greedyCoverNaive is the literal transcription of Algorithm 1 lines
 // 8-13: a full argmax scan over the remaining candidates per selection.
-// It must produce exactly the same winner set as greedyCover; the lazy
-// version exists purely to cut the number of gain evaluations. The
-// returned slice aliases s and is only valid until s is next used.
+// It must produce exactly the same winner set as coverChain does for
+// the same candidate count; the chain exists purely to cut the number
+// of gain evaluations. The returned slice aliases s and is only valid
+// until s is next used.
 func (cp *coverProblem) greedyCoverNaive(s *coverScratch, candidates []int) ([]int, bool) {
 	residual := append(s.residual[:0], cp.demands...)
 	s.residual = residual

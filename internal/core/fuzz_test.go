@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"math"
+	"math/rand"
 	"testing"
 )
 
@@ -47,10 +48,70 @@ func FuzzValidate(f *testing.F) {
 			return
 		}
 		// Anything validation accepts must be safe to run end to end.
-		if _, err := New(inst); err != nil && !errors.Is(err, ErrInfeasible) {
+		a, err := New(inst)
+		if err != nil && !errors.Is(err, ErrInfeasible) {
 			// New may legitimately find the instance infeasible, but
 			// must not fail any other way after Validate passed.
 			t.Fatalf("validated instance broke New: %v", err)
+		}
+		if err == nil {
+			if err := chainMismatch(a); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+}
+
+// FuzzChainMatchesScratch drives the greedy chain with random instances
+// whose bids, bundles and skills are drawn from few distinct values, so
+// ties and near-ties are the norm: at every candidate count the chained
+// winner set must equal the from-scratch greedy, under the default
+// support and a fixed price set alike.
+func FuzzChainMatchesScratch(f *testing.F) {
+	f.Add(int64(1), uint8(12), uint8(3), uint8(2))
+	f.Add(int64(7), uint8(40), uint8(6), uint8(1))
+	f.Add(int64(42), uint8(25), uint8(1), uint8(5))
+	f.Add(int64(-3), uint8(3), uint8(4), uint8(0))
+	f.Fuzz(func(t *testing.T, seed int64, nRaw, kRaw, levelsRaw uint8) {
+		r := rand.New(rand.NewSource(seed))
+		n := 1 + int(nRaw)%48
+		k := 1 + int(kRaw)%8
+		levels := 1 + int(levelsRaw)%6
+		level := func(lo, hi float64) float64 {
+			return lo + (hi-lo)*float64(r.Intn(levels))/float64(levels)
+		}
+		inst := Instance{
+			NumTasks:  k,
+			Epsilon:   0.5,
+			CMin:      10,
+			CMax:      60,
+			PriceGrid: PriceGridRange(10, 60, 2.5),
+		}
+		for j := 0; j < k; j++ {
+			inst.Thresholds = append(inst.Thresholds, level(0.2, 0.45))
+		}
+		for i := 0; i < n; i++ {
+			var bundle []int
+			for j := 0; j < k; j++ {
+				if r.Intn(2) == 0 {
+					bundle = append(bundle, j)
+				}
+			}
+			if len(bundle) == 0 {
+				bundle = []int{r.Intn(k)}
+			}
+			row := make([]float64, k)
+			for j := range row {
+				row[j] = level(0.5, 1)
+			}
+			inst.Workers = append(inst.Workers, Worker{Bundle: bundle, Bid: level(10, 60)})
+			inst.Skills = append(inst.Skills, row)
+		}
+		if _, err := checkBuilds(inst); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := traceEveryCount(inst); err != nil {
+			t.Fatal(err)
 		}
 	})
 }

@@ -208,24 +208,3 @@ func TestRebuildTelemetryCounters(t *testing.T) {
 		t.Fatalf("rebuilds_total = %d, want 3", got)
 	}
 }
-
-// TestRebuildParallelMatchesSequential: Rebuild under WithParallelism
-// produces the same support as the sequential path, per build.
-func TestRebuildParallelMatchesSequential(t *testing.T) {
-	r := rand.New(rand.NewSource(29))
-	seq := mustAuction(t, tinyInstance())
-	par := mustAuction(t, tinyInstance(), WithParallelism(4))
-	for trial := 0; trial < 8; trial++ {
-		inst := feasibleRandomInstance(r)
-		errS, errP := seq.Rebuild(inst), par.Rebuild(inst)
-		if (errS == nil) != (errP == nil) {
-			t.Fatalf("feasibility disagreement: %v vs %v", errS, errP)
-		}
-		if errS != nil {
-			seq, par = mustAuction(t, tinyInstance()), mustAuction(t, tinyInstance(), WithParallelism(4))
-			continue
-		}
-		supportEqual(t, par.Support(), seq.Support())
-		pmfEqual(t, par.PMF(), seq.PMF())
-	}
-}

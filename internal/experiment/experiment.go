@@ -55,12 +55,8 @@ type Config struct {
 	Scale float64
 	// Parallelism is the runners' single concurrency budget: it bounds
 	// the worker pool that sweep points and per-point instances fan out
-	// on. Inside the pool every auction construction runs sequentially —
-	// the pool already owns the budget, and nesting core.WithParallelism
-	// under it would schedule parallelism^2 contending goroutines (the
-	// oversubscription bug ISSUE 9 fixed; see DESIGN.md "Hot path &
-	// scratch memory"). Builds that happen outside a pool (Figure 5's
-	// per-profile constructions) do use the full budget. Results are
+	// on. Every auction construction is sequential, so the pool is the
+	// only source of concurrency. Results are
 	// byte-identical to sequential execution: every job's randomness is
 	// pre-derived from Seed in the sequential order and aggregation
 	// happens in index order. Zero means GOMAXPROCS; 1 forces the
@@ -197,15 +193,12 @@ func paymentStats(a *core.Auction, cfg Config, r *rand.Rand) (mean, std float64)
 	return m, math.Sqrt(v)
 }
 
-// buildOptions says how generateFeasible constructs the auction it
-// probes feasibility with. Callers inside a runIndexed pool pass
-// parallelism 1 — the pool owns the concurrency budget (Config.
-// Parallelism doc) — and set telemetry/events only when the returned
-// auction is the measured one rather than a discarded probe.
+// buildOptions says how generateFeasible instruments the auction it
+// probes feasibility with: callers set telemetry/events only when the
+// returned auction is the measured one rather than a discarded probe.
 type buildOptions struct {
-	parallelism int
-	telemetry   *telemetry.Registry
-	events      *evlog.Logger
+	telemetry *telemetry.Registry
+	events    *evlog.Logger
 }
 
 // generateFeasible draws instances until one admits a feasible auction,
@@ -220,8 +213,7 @@ func generateFeasible(p workload.Params, r *rand.Rand, opt buildOptions) (core.I
 			return core.Instance{}, nil, 0, err
 		}
 		start := time.Now()
-		a, err := core.New(inst, core.WithParallelism(opt.parallelism),
-			core.WithTelemetry(opt.telemetry), core.WithEventLog(opt.events))
+		a, err := core.New(inst, core.WithTelemetry(opt.telemetry), core.WithEventLog(opt.events))
 		if err == nil {
 			return inst, a, time.Since(start), nil
 		}
@@ -254,10 +246,8 @@ func runSweepInstance(p workload.Params, withOptimal bool, cfg Config, seed int6
 	// The feasibility-probe build IS the measured DP auction: timed,
 	// instrumented, and reused — the old code built it a second time
 	// "to time construction alone" and paid twice per sweep point.
-	// Parallelism 1: this job already runs on the sweep pool, which
-	// owns the concurrency budget.
 	inst, dpAuction, buildTime, err := generateFeasible(p, r,
-		buildOptions{parallelism: 1, telemetry: cfg.Telemetry, events: cfg.Events})
+		buildOptions{telemetry: cfg.Telemetry, events: cfg.Events})
 	if err != nil {
 		res.err = err
 		return res

@@ -41,10 +41,9 @@ func Figure5(cfg Config) (Figure5Result, error) {
 	// One base instance reused across the epsilon sweep so the curves
 	// vary only with epsilon, as in the paper.
 	// The probe auction is discarded (the sweep builds its own below
-	// with the fixed support), so it stays uninstrumented; this build
-	// happens before the pool fans out, so it may use the full budget.
+	// with the fixed support), so it stays uninstrumented.
 	params := workload.SettingIV(200).Scaled(cfg.Scale)
-	inst, _, _, err := generateFeasible(params, r, buildOptions{parallelism: cfg.Parallelism})
+	inst, _, _, err := generateFeasible(params, r, buildOptions{})
 	if err != nil {
 		return Figure5Result{}, err
 	}
@@ -75,7 +74,7 @@ func Figure5(cfg Config) (Figure5Result, error) {
 		cur := base.Clone()
 		cur.Epsilon = Figure5Epsilons[0]
 		return core.New(cur, core.WithPriceSet(support),
-			core.WithParallelism(cfg.Parallelism), core.WithTelemetry(cfg.Telemetry),
+			core.WithTelemetry(cfg.Telemetry),
 			core.WithEventLog(cfg.Events))
 	}
 	baseA, err := build(inst)

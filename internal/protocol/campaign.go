@@ -24,6 +24,11 @@ var ErrNoRounds = errors.New("protocol: campaign needs at least one round")
 type SkillStore struct {
 	mu  sync.RWMutex
 	acc map[string]float64
+	// rows caches the read-only skill row Func hands out per worker, so
+	// a worker who bids every round costs one row, not one per round.
+	// UpdateFromReports drops a worker's row when it writes the
+	// worker's accuracy.
+	rows map[string][]float64
 	// def is the prior accuracy assigned to never-seen workers.
 	def float64
 	// alpha is the EWMA blending weight of the newest estimate.
@@ -43,6 +48,7 @@ func NewSkillStore(defaultAccuracy float64) *SkillStore {
 	}
 	return &SkillStore{
 		acc:   make(map[string]float64),
+		rows:  make(map[string][]float64),
 		def:   defaultAccuracy,
 		alpha: 0.5,
 	}
@@ -89,6 +95,11 @@ func (s *SkillStore) ObserveStore(j store.SkillStore) error {
 func (s *SkillStore) Get(workerID string) float64 {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
+	return s.accuracy(workerID)
+}
+
+// accuracy is Get's lookup; the caller holds s.mu.
+func (s *SkillStore) accuracy(workerID string) float64 {
 	if a, ok := s.acc[workerID]; ok {
 		return a
 	}
@@ -96,14 +107,28 @@ func (s *SkillStore) Get(workerID string) float64 {
 }
 
 // Func adapts the store to the platform's SkillFunc interface,
-// assigning a worker's scalar accuracy to every task.
+// assigning a worker's scalar accuracy to every task. The row is cached
+// per worker and shared by every call until the worker's accuracy is
+// next updated, so callers must treat it as read-only (see SkillFunc).
 func (s *SkillStore) Func() SkillFunc {
 	return func(workerID string, numTasks int) []float64 {
-		a := s.Get(workerID)
-		row := make([]float64, numTasks)
+		s.mu.RLock()
+		row, ok := s.rows[workerID]
+		s.mu.RUnlock()
+		if ok && len(row) == numTasks {
+			return row
+		}
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		if row, ok := s.rows[workerID]; ok && len(row) == numTasks {
+			return row
+		}
+		a := s.accuracy(workerID)
+		row = make([]float64, numTasks)
 		for j := range row {
 			row[j] = a
 		}
+		s.rows[workerID] = row
 		return row
 	}
 }
@@ -143,6 +168,7 @@ func (s *SkillStore) UpdateFromReports(reports []crowd.Report, workerIDs []strin
 			}
 		}
 		s.acc[id] = blended
+		delete(s.rows, id)
 	}
 	return nil
 }

@@ -59,6 +59,90 @@ func TestSkillStoreUpdateFromReports(t *testing.T) {
 	}
 }
 
+// skillReports is one round of labels on every task: worker 0 always
+// agrees with the truth, every other worker always disagrees.
+func skillReports(seed int64, tasks, workers int) []crowd.Report {
+	truth := crowd.TrueLabels(rand.New(rand.NewSource(seed)), tasks)
+	var reports []crowd.Report
+	for j := 0; j < tasks; j++ {
+		for w := 0; w < workers; w++ {
+			label := truth[j]
+			if w > 0 {
+				label = -label
+			}
+			reports = append(reports, crowd.Report{Worker: w, Task: j, Label: label})
+		}
+	}
+	return reports
+}
+
+// TestSkillStoreFuncCachesRows: Func hands out one read-only row per
+// worker until an update writes that worker's accuracy; the update
+// swaps in a fresh row and leaves the old one untouched, so an
+// instance assembled earlier keeps the skills it was built with.
+func TestSkillStoreFuncCachesRows(t *testing.T) {
+	s := NewSkillStore(0.8)
+	skills := s.Func()
+	first := skills("w", 4)
+	if again := skills("w", 4); &again[0] != &first[0] {
+		t.Fatal("second call returned a new row before any update")
+	}
+	if other := skills("v", 4); &other[0] == &first[0] {
+		t.Fatal("two workers share one row")
+	}
+	if wide := skills("w", 6); len(wide) != 6 || wide[5] != 0.8 {
+		t.Fatalf("row for a different task count: %v", wide)
+	}
+	const tasks = 40
+	if err := s.UpdateFromReports(skillReports(5, tasks, 2), []string{"w", "x"}, tasks); err != nil {
+		t.Fatal(err)
+	}
+	updated := skills("w", 4)
+	if &updated[0] == &first[0] {
+		t.Fatal("update did not drop the cached row")
+	}
+	if got := s.Get("w"); updated[0] != got || updated[3] != got || got == 0.8 {
+		t.Fatalf("updated row %v, accuracy %v", updated, got)
+	}
+	for j, v := range first {
+		if v != 0.8 {
+			t.Fatalf("old row changed at %d: %v", j, first)
+		}
+	}
+	if v := skills("v", 4); v[0] != 0.8 {
+		t.Fatalf("worker without reports lost its row value: %v", v)
+	}
+}
+
+// TestSkillStoreFuncConcurrentWithUpdates gives -race concurrent Func
+// readers over workers whose rows UpdateFromReports keeps dropping.
+func TestSkillStoreFuncConcurrentWithUpdates(t *testing.T) {
+	s := NewSkillStore(0.7)
+	skills := s.Func()
+	ids := []string{"a", "b", "c", "d"}
+	const tasks = 12
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				row := skills(ids[(g+i)%len(ids)], tasks)
+				if len(row) != tasks || row[0] != row[tasks-1] {
+					t.Errorf("torn row %v", row)
+					return
+				}
+			}
+		}(g)
+	}
+	for round := int64(0); round < 20; round++ {
+		if err := s.UpdateFromReports(skillReports(round, tasks, len(ids)), ids, tasks); err != nil {
+			t.Fatal(err)
+		}
+	}
+	wg.Wait()
+}
+
 func TestSkillStoreUpdateEmptyReports(t *testing.T) {
 	s := NewSkillStore(0.7)
 	if err := s.UpdateFromReports(nil, []string{"a"}, 3); err != nil {

@@ -52,6 +52,9 @@ func IsDegraded(err error) bool {
 // SkillFunc supplies the platform's historical skill estimate for a
 // worker (Section III-A: theta is maintained by the platform from
 // prior rounds, gold tasks, or truth discovery — see crowd.EstimateSkills).
+// The returned row is read-only: an implementation may hand the same
+// slice to every call (SkillStore.Func does), and the platform and the
+// auction only read it (core copies rows into its own instance).
 type SkillFunc func(workerID string, numTasks int) []float64
 
 // PlatformConfig parameterizes one auction round.

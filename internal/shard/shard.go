@@ -72,7 +72,8 @@ type Bid struct {
 }
 
 // SkillFunc supplies the platform's historical skill row for a worker;
-// it mirrors protocol.SkillFunc so the two layers share one source.
+// it mirrors protocol.SkillFunc so the two layers share one source. The
+// row is read-only and may be shared across calls.
 type SkillFunc func(workerID string, numTasks int) []float64
 
 // KillFunc is the chaos seam: consulted once per (round, partition)
