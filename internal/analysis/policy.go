@@ -357,6 +357,7 @@ func DefaultPolicy() *Policy {
 		// because the body bottoms out in interface calls.
 		BlockingFuncs: []string{
 			"Conn.Send", "Conn.Recv", "Conn.Expect", "Conn.SendError", "Conn.Close",
+			"Conn.sendFrame", "Conn.recvInto", "Conn.expectInto",
 		},
 		// The WAL append surface: FileStore.record and WAL.Append are
 		// the physical appends; the Record* methods are the

@@ -238,6 +238,18 @@ type listener struct {
 	accepts atomic.Int64
 }
 
+// SetDeadline forwards the accept deadline to the wrapped listener,
+// which is how the protocol platform wakes a blocked Accept when its
+// bid window closes. A wrapped listener without deadlines reports an
+// error instead of silently ignoring the deadline.
+func (l *listener) SetDeadline(t time.Time) error {
+	dl, ok := l.Listener.(interface{ SetDeadline(time.Time) error })
+	if !ok {
+		return fmt.Errorf("faultnet: wrapped listener %T has no SetDeadline", l.Listener)
+	}
+	return dl.SetDeadline(t)
+}
+
 func (l *listener) Accept() (net.Conn, error) {
 	raw, err := l.Listener.Accept()
 	if err != nil {

@@ -256,3 +256,45 @@ func TestDialerWrapsRealConnections(t *testing.T) {
 		t.Fatalf("echo mismatch: %q", buf)
 	}
 }
+
+// TestListenerForwardsSetDeadline: a past deadline set through the
+// wrapper wakes a blocked Accept with a timeout, and a wrapped listener
+// without deadlines reports an error rather than ignoring the call.
+func TestListenerForwardsSetDeadline(t *testing.T) {
+	tln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tln.Close()
+	in, err := New(Plan{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln := in.Listener(tln).(interface {
+		net.Listener
+		SetDeadline(time.Time) error
+	})
+	accepted := make(chan error, 1)
+	go func() {
+		_, err := ln.Accept()
+		accepted <- err
+	}()
+	time.Sleep(20 * time.Millisecond)
+	if err := ln.SetDeadline(time.Unix(1, 0)); err != nil {
+		t.Fatalf("SetDeadline on a TCP listener: %v", err)
+	}
+	select {
+	case err := <-accepted:
+		var ne net.Error
+		if !errors.As(err, &ne) || !ne.Timeout() {
+			t.Fatalf("Accept after a past deadline = %v, want a timeout", err)
+		}
+	case <-time.After(3 * time.Second):
+		t.Fatal("past deadline did not wake Accept")
+	}
+
+	opaque := in.Listener(struct{ net.Listener }{tln}).(interface{ SetDeadline(time.Time) error })
+	if err := opaque.SetDeadline(time.Time{}); err == nil {
+		t.Fatal("SetDeadline on a listener without deadlines succeeded")
+	}
+}

@@ -1,9 +1,14 @@
 package protocol
 
 import (
+	"context"
+	"errors"
 	"math/rand"
+	"net"
 	"testing"
 	"time"
+
+	"github.com/dphsrc/dphsrc/internal/crowd"
 )
 
 // TestBackoffEqualJitterRange is the regression test for the jitter
@@ -88,4 +93,45 @@ func TestBackoffFloorAndDefaults(t *testing.T) {
 	if got := def.backoff(50, rng); got != 2*time.Second {
 		t.Errorf("overflow-guarded backoff %v, want the 2s default cap", got)
 	}
+}
+
+// TestRetryWaitsPinned pins the jitter waits of a 4-attempt retry for a
+// fixed worker ID, and checks that Participate, which builds its jitter
+// stream only on the first retry, sleeps at least those waits between
+// its dials.
+func TestRetryWaitsPinned(t *testing.T) {
+	rp := RetryPolicy{MaxAttempts: 4, BaseBackoff: 20 * time.Millisecond, MaxBackoff: time.Second, Jitter: 1}
+	want := []time.Duration{10099903, 28203998, 66314616}
+	rng := rp.jitterRNG("w-pinned")
+	for i, w := range want {
+		if got := rp.backoff(i+2, rng); got != w {
+			t.Fatalf("attempt %d: backoff %v, want %v", i+2, got, w)
+		}
+	}
+
+	d := &refusingDialer{}
+	_, err := Participate(context.Background(), "127.0.0.1:1", WorkerConfig{
+		ID: "w-pinned", Bundle: []int{0}, Cost: 1,
+		Labels: func(int) crowd.Label { return 1 },
+		Dialer: d, Retry: rp,
+	})
+	if err == nil {
+		t.Fatal("Participate succeeded against a refusing dialer")
+	}
+	if len(d.at) != rp.MaxAttempts {
+		t.Fatalf("%d dials, want %d", len(d.at), rp.MaxAttempts)
+	}
+	for i, w := range want {
+		if gap := d.at[i+1].Sub(d.at[i]); gap < w {
+			t.Fatalf("wait before attempt %d = %v, below the pinned %v", i+2, gap, w)
+		}
+	}
+}
+
+// refusingDialer fails every dial and records when each was made.
+type refusingDialer struct{ at []time.Time }
+
+func (d *refusingDialer) DialContext(context.Context, string, string) (net.Conn, error) {
+	d.at = append(d.at, time.Now())
+	return nil, errors.New("refused")
 }

@@ -110,10 +110,8 @@ func NewConn(raw net.Conn, timeout time.Duration) *Conn {
 
 // Send writes one message.
 func (c *Conn) Send(m Message) error {
-	if c.timeout > 0 {
-		if err := c.raw.SetWriteDeadline(time.Now().Add(c.timeout)); err != nil {
-			return err
-		}
+	if err := c.writeDeadline(); err != nil {
+		return err
 	}
 	if err := c.enc.Encode(m); err != nil {
 		return fmt.Errorf("protocol: send %s: %w", m.Type, err)
@@ -121,16 +119,71 @@ func (c *Conn) Send(m Message) error {
 	return nil
 }
 
-// Recv reads the next message.
-func (c *Conn) Recv() (Message, error) {
+// sendFrame writes a message pre-rendered as its json.Encoder output
+// (the JSON value plus '\n') in one Write, exactly as Send would have
+// written it. t names the message in errors.
+func (c *Conn) sendFrame(t Type, frame []byte) error {
+	if err := c.writeDeadline(); err != nil {
+		return err
+	}
+	if _, err := c.raw.Write(frame); err != nil {
+		return fmt.Errorf("protocol: send %s: %w", t, err)
+	}
+	return nil
+}
+
+// writeDeadline arms the per-message write deadline.
+func (c *Conn) writeDeadline() error {
+	if c.timeout > 0 {
+		return c.raw.SetWriteDeadline(time.Now().Add(c.timeout))
+	}
+	return nil
+}
+
+// envelope is a decoded message's head: its type and, for TypeError,
+// the remote reason. Message implements it, as do the lean views a
+// reader decodes when it needs only a few of Message's fields.
+type envelope interface {
+	head() (Type, string)
+}
+
+func (m *Message) head() (Type, string) { return m.Type, m.Err }
+
+// recvInto reads the next message into v, a pointer to Message or to a
+// lean view of it (fields the view lacks are skipped, not parsed).
+func (c *Conn) recvInto(v envelope) error {
 	if c.timeout > 0 {
 		if err := c.raw.SetReadDeadline(time.Now().Add(c.timeout)); err != nil {
-			return Message{}, err
+			return err
 		}
 	}
+	if err := c.dec.Decode(v); err != nil {
+		return fmt.Errorf("protocol: recv: %w", err)
+	}
+	return nil
+}
+
+// expectInto is Expect into v: a TypeError message surfaces as
+// ErrRemote with the remote reason, any other type but want as
+// ErrUnexpectedType.
+func (c *Conn) expectInto(v envelope, want Type) error {
+	if err := c.recvInto(v); err != nil {
+		return err
+	}
+	switch t, reason := v.head(); {
+	case t == TypeError:
+		return fmt.Errorf("%w: %s", ErrRemote, reason)
+	case t != want:
+		return fmt.Errorf("%w: got %q, want %q", ErrUnexpectedType, t, want)
+	}
+	return nil
+}
+
+// Recv reads the next message.
+func (c *Conn) Recv() (Message, error) {
 	var m Message
-	if err := c.dec.Decode(&m); err != nil {
-		return Message{}, fmt.Errorf("protocol: recv: %w", err)
+	if err := c.recvInto(&m); err != nil {
+		return Message{}, err
 	}
 	return m, nil
 }
@@ -138,15 +191,9 @@ func (c *Conn) Recv() (Message, error) {
 // Expect reads the next message and checks its type. A TypeError
 // message is surfaced as ErrRemote with the remote reason.
 func (c *Conn) Expect(want Type) (Message, error) {
-	m, err := c.Recv()
-	if err != nil {
+	var m Message
+	if err := c.expectInto(&m, want); err != nil {
 		return Message{}, err
-	}
-	if m.Type == TypeError {
-		return Message{}, fmt.Errorf("%w: %s", ErrRemote, m.Err)
-	}
-	if m.Type != want {
-		return Message{}, fmt.Errorf("%w: got %q, want %q", ErrUnexpectedType, m.Type, want)
 	}
 	return m, nil
 }

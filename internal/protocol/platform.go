@@ -2,6 +2,7 @@ package protocol
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -34,6 +35,10 @@ var (
 	// platform is already servicing cfg.MaxConns connections; the
 	// worker should back off and retry.
 	ErrTooManyConnections = errors.New("protocol: connection limit reached")
+	// ErrNoAcceptDeadline reports a listener whose Accept cannot be
+	// woken by a deadline (no SetDeadline, or one that fails). The
+	// round refuses to start: it could never close its bid window.
+	ErrNoAcceptDeadline = errors.New("protocol: listener has no accept deadline")
 )
 
 // IsDegraded reports whether a round error is a graceful degradation —
@@ -268,6 +273,10 @@ type RoundReport struct {
 type Platform struct {
 	cfg PlatformConfig
 	met platformMetrics
+	// announce is the TypeAnnounce frame every handshake sends,
+	// rendered once: the announce is the same for every bidder of
+	// every round.
+	announce []byte
 	// coord partitions sharded rounds; nil when Shards <= 1.
 	coord *shard.Coordinator
 	// connsActive tracks concurrently serviced connections for the
@@ -355,9 +364,23 @@ func NewPlatform(cfg PlatformConfig) (*Platform, error) {
 		//mcslint:allow MCS-DET002 fallback seed for callers that supplied none; the chosen value is logged and exported via mcs_protocol_seed_info so the run stays replayable after the fact
 		cfg.Seed = time.Now().UnixNano()
 	}
+	announce, err := json.Marshal(Message{
+		Type:            TypeAnnounce,
+		NumTasks:        cfg.NumTasks,
+		Thresholds:      cfg.Thresholds,
+		Epsilon:         cfg.Epsilon,
+		CMin:            cfg.CMin,
+		CMax:            cfg.CMax,
+		PriceGrid:       cfg.PriceGrid,
+		BidWindowMillis: cfg.BidWindow.Milliseconds(),
+	})
+	if err != nil {
+		return nil, fmt.Errorf("%w: announce: %v", ErrBadPlatform, err)
+	}
 	p := &Platform{
 		cfg:       cfg,
 		met:       newPlatformMetrics(cfg.Telemetry),
+		announce:  append(announce, '\n'),
 		nextRound: cfg.StartRound,
 		status:    RoundStatus{Round: cfg.StartRound, Phase: PhaseIdle},
 	}
@@ -447,6 +470,10 @@ func (p *Platform) RunRound(ctx context.Context, ln net.Listener) (RoundReport, 
 // with the round-level telemetry: one span tree, the end-to-end
 // latency, and the final outcome tally.
 func (p *Platform) runRoundCollecting(ctx context.Context, ln net.Listener) (RoundReport, []crowd.Report, error) {
+	dl, err := acceptDeadlines(ln)
+	if err != nil {
+		return RoundReport{}, nil, err
+	}
 	reg := p.cfg.Telemetry
 	ev := p.cfg.Events
 	round := p.claimRound()
@@ -462,7 +489,7 @@ func (p *Platform) runRoundCollecting(ctx context.Context, ln net.Listener) (Rou
 	defer p.setStatus(round, PhaseIdle)
 	root := p.cfg.Tracer.StartSpan("round")
 	ev.Info("round.start", evlog.Int64("span", root.ID()), evlog.Int("round", round))
-	rep, reports, err := p.roundPhases(ctx, ln, round, root)
+	rep, reports, err := p.roundPhases(ctx, dl, round, root)
 	rep.Round = round
 	root.End()
 	p.met.roundSeconds.Observe(reg.Since(start))
@@ -531,7 +558,7 @@ func degradeReason(err error) string {
 // labels, aggregate — each timed into mcs_protocol_phase_seconds and
 // traced as a child of root. round is the campaign-wide index that
 // roots this round's mechanism randomness.
-func (p *Platform) roundPhases(ctx context.Context, ln net.Listener, round int, root *telemetry.Span) (RoundReport, []crowd.Report, error) {
+func (p *Platform) roundPhases(ctx context.Context, ln deadlineListener, round int, root *telemetry.Span) (RoundReport, []crowd.Report, error) {
 	reg := p.cfg.Telemetry
 	ev := p.cfg.Events
 	// phaseDone times a phase into the histogram and mirrors it as a
@@ -881,21 +908,33 @@ func (p *Platform) releaseConn() {
 }
 
 // deadlineListener is a listener whose blocked Accept can be woken by
-// setting an accept deadline in the past — net.TCPListener implements
-// it, as do the in-memory listeners the tests and the load generator
-// use. Wrapper listeners that hide the method (embedding the plain
-// net.Listener interface, as internal/faultnet does) fall back to the
-// self-connection poke.
+// setting an accept deadline in the past: net.TCPListener implements
+// it, as do internal/faultnet's wrapper and the in-memory listeners
+// the tests and the load generator use.
 type deadlineListener interface {
 	net.Listener
 	SetDeadline(time.Time) error
+}
+
+// acceptDeadlines checks that ln can close a bid window and clears the
+// past deadline a previous round's close left set. A listener that
+// cannot fails with ErrNoAcceptDeadline before the round starts.
+func acceptDeadlines(ln net.Listener) (deadlineListener, error) {
+	dl, ok := ln.(deadlineListener)
+	if !ok {
+		return nil, fmt.Errorf("%w: %T", ErrNoAcceptDeadline, ln)
+	}
+	if err := dl.SetDeadline(time.Time{}); err != nil {
+		return nil, fmt.Errorf("%w: %T: %v", ErrNoAcceptDeadline, ln, err)
+	}
+	return dl, nil
 }
 
 // collectBids accepts connections and performs the hello/announce/bid
 // handshake until the bid window closes, MinWorkers is reached, or ctx
 // is cancelled. Individual handshake failures are tolerated and
 // tallied, never fatal. spanID labels the phase's events.
-func (p *Platform) collectBids(ctx context.Context, ln net.Listener, spanID int64) ([]*session, RoundFaults, error) {
+func (p *Platform) collectBids(ctx context.Context, ln deadlineListener, spanID int64) ([]*session, RoundFaults, error) {
 	ev := p.cfg.Events
 	windowCtx, cancel := context.WithTimeout(ctx, p.cfg.BidWindow)
 	defer cancel()
@@ -908,31 +947,15 @@ func (p *Platform) collectBids(ctx context.Context, ln net.Listener, spanID int6
 		wg       sync.WaitGroup
 	)
 
-	// Unblock Accept when the window ends. A deadline-capable listener
-	// is woken directly: SetDeadline applies to an Accept that is
-	// already blocked, so setting a deadline in the past makes it
-	// return a timeout immediately, with no network traffic. Only
-	// listeners without deadline support fall back to poking Accept
-	// awake with a self-connection.
+	// Unblock Accept when the window ends: SetDeadline applies to an
+	// Accept that is already blocked, so setting a deadline in the past
+	// makes it return a timeout immediately, with no network traffic.
 	acceptDone := make(chan struct{})
-	dl, hasDeadline := ln.(deadlineListener)
-	if hasDeadline {
-		// Clear the past deadline a previous round's close left set.
-		_ = dl.SetDeadline(time.Time{})
-		go func() {
-			defer close(acceptDone)
-			<-windowCtx.Done()
-			_ = dl.SetDeadline(time.Unix(1, 0))
-		}()
-	} else {
-		go func() {
-			defer close(acceptDone)
-			<-windowCtx.Done()
-			if conn, err := net.DialTimeout("tcp", ln.Addr().String(), time.Second); err == nil {
-				_ = conn.Close()
-			}
-		}()
-	}
+	go func() {
+		defer close(acceptDone)
+		<-windowCtx.Done()
+		_ = ln.SetDeadline(time.Unix(1, 0))
+	}()
 
 	for {
 		select {
@@ -988,8 +1011,7 @@ func (p *Platform) collectBids(ctx context.Context, ln net.Listener, spanID int6
 				_ = raw.Close()
 				p.releaseConn()
 				// Failures after the window closed are not faults: they
-				// are sessions the close itself cut — including the
-				// watchdog's own self-connection poke.
+				// are sessions the close itself cut.
 				if windowCtx.Err() == nil {
 					mu.Lock()
 					faults.HandshakesFailed++
@@ -1075,17 +1097,7 @@ func (p *Platform) handshake(raw net.Conn) (*session, error) {
 	if hello.WorkerID == "" {
 		return nil, conn.SendError(errors.New("protocol: empty worker id"))
 	}
-	announce := Message{
-		Type:            TypeAnnounce,
-		NumTasks:        p.cfg.NumTasks,
-		Thresholds:      p.cfg.Thresholds,
-		Epsilon:         p.cfg.Epsilon,
-		CMin:            p.cfg.CMin,
-		CMax:            p.cfg.CMax,
-		PriceGrid:       p.cfg.PriceGrid,
-		BidWindowMillis: p.cfg.BidWindow.Milliseconds(),
-	}
-	if err := conn.Send(announce); err != nil {
+	if err := conn.sendFrame(TypeAnnounce, p.announce); err != nil {
 		return nil, err
 	}
 	bid, err := conn.Expect(TypeBid)

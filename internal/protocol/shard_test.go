@@ -10,9 +10,9 @@ package protocol
 //     fault-accounted partial outcome over the survivors;
 //   - no accepted bid is ever lost: every registered session's bid is
 //     admitted to a partition before the worker hears "accepted";
-//   - the connection limit rejects typed, and the end-of-window wakeup
-//     uses accept deadlines (no self-connection poke) whenever the
-//     listener supports them.
+//   - the connection limit rejects typed, the end-of-window wakeup
+//     uses accept deadlines (no connection of its own), and a listener
+//     without them refuses the round start typed.
 
 import (
 	"bytes"
@@ -27,8 +27,10 @@ import (
 	"time"
 
 	"github.com/dphsrc/dphsrc/internal/crowd"
+	"github.com/dphsrc/dphsrc/internal/faultnet"
 	"github.com/dphsrc/dphsrc/internal/mechanism"
 	"github.com/dphsrc/dphsrc/internal/shard"
+	"github.com/dphsrc/dphsrc/internal/store"
 	"github.com/dphsrc/dphsrc/internal/telemetry"
 	"github.com/dphsrc/dphsrc/internal/telemetry/evlog"
 )
@@ -345,7 +347,7 @@ func (l *countingListener) Accept() (net.Conn, error) {
 }
 
 // opaqueListener hides everything but the net.Listener interface —
-// no SetDeadline promotion, like a faultnet wrapper.
+// no SetDeadline promotion.
 type opaqueListener struct {
 	inner net.Listener
 }
@@ -379,37 +381,49 @@ func TestWindowCloseWithoutPoke(t *testing.T) {
 		t.Fatalf("zero-worker round error = %v, want ErrNoBids", roundErr)
 	}
 	if got := ln.accepts.Load(); got != 0 {
-		t.Fatalf("deadline-capable listener accepted %d connections; the poke is only a fallback", got)
+		t.Fatalf("window close accepted %d connections, want 0", got)
 	}
 	if elapsed := time.Since(start); elapsed > o.window+2*time.Second {
 		t.Fatalf("round took %v, deadline wakeup did not fire", elapsed)
 	}
 }
 
-// TestWindowClosePokeFallback: a listener that hides SetDeadline still
-// closes its window promptly via the self-connection poke.
-func TestWindowClosePokeFallback(t *testing.T) {
+// TestListenerWithoutDeadlineRefusesRound: a listener that cannot take
+// an accept deadline — bare, or hidden behind a faultnet wrapper —
+// fails the round start with ErrNoAcceptDeadline at once, without
+// claiming a round index or journaling a round.begin.
+func TestListenerWithoutDeadlineRefusesRound(t *testing.T) {
 	o := shardedOpts(910, 0)
-	o.window = 300 * time.Millisecond
-	cfg := chaosPlatformConfig(o)
+	o.window = time.Minute // a hang would outlast the test deadline
 	tln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer tln.Close()
-	platform, err := NewPlatform(cfg)
+	in, err := faultnet.New(faultnet.Plan{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	start := time.Now()
-	_, roundErr := platform.RunRound(ctx, &opaqueListener{inner: tln})
-	if !errors.Is(roundErr, ErrNoBids) {
-		t.Fatalf("zero-worker round error = %v, want ErrNoBids", roundErr)
-	}
-	if elapsed := time.Since(start); elapsed > o.window+3*time.Second {
-		t.Fatalf("round took %v; poke fallback did not wake Accept", elapsed)
+	for name, ln := range map[string]net.Listener{
+		"bare":     &opaqueListener{inner: tln},
+		"faultnet": in.Listener(&opaqueListener{inner: tln}),
+	} {
+		cfg := chaosPlatformConfig(o)
+		journal := store.NewMemStore()
+		cfg.Checkpoints = journal
+		platform, err := NewPlatform(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		_, roundErr := platform.RunRound(ctx, ln)
+		cancel()
+		if !errors.Is(roundErr, ErrNoAcceptDeadline) {
+			t.Fatalf("%s listener: round error = %v, want ErrNoAcceptDeadline", name, roundErr)
+		}
+		if next := journal.State().Campaign.NextRound; next != 0 {
+			t.Fatalf("%s listener: refused round journaled a begin (next round %d)", name, next)
+		}
 	}
 }
 

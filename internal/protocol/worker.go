@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/rand"
 	"net"
 	"time"
 
@@ -103,13 +104,18 @@ func Participate(ctx context.Context, addr string, cfg WorkerConfig) (WorkerRepo
 	}
 
 	attempts := cfg.Retry.attempts()
-	rng := cfg.Retry.jitterRNG(cfg.ID)
+	// The jitter stream is built on the first retry: most calls never
+	// retry, and seeding a math/rand source is not free.
+	var rng *rand.Rand
 	retries := cfg.Telemetry.Counter("mcs_protocol_worker_retries_total",
 		"Worker reconnection attempts after transient transport failures.")
 	var lastErr error
 	for attempt := 1; attempt <= attempts; attempt++ {
 		if attempt > 1 {
 			retries.Inc()
+			if rng == nil {
+				rng = cfg.Retry.jitterRNG(cfg.ID)
+			}
 			wait := cfg.Retry.backoff(attempt, rng)
 			select {
 			case <-time.After(wait):
@@ -130,6 +136,19 @@ func Participate(ctx context.Context, addr string, cfg WorkerConfig) (WorkerRepo
 	return WorkerReport{Attempts: attempts},
 		fmt.Errorf("protocol: participation failed after %d attempts: %w", attempts, lastErr)
 }
+
+// announceView is the part of a TypeAnnounce message the worker reads.
+// Decoding into it skips the thresholds and the price grid instead of
+// parsing them.
+type announceView struct {
+	Type     Type    `json:"type"`
+	NumTasks int     `json:"num_tasks"`
+	CMin     float64 `json:"cmin"`
+	CMax     float64 `json:"cmax"`
+	Err      string  `json:"err"`
+}
+
+func (a *announceView) head() (Type, string) { return a.Type, a.Err }
 
 // participateOnce runs one full attempt on a fresh connection. Errors
 // after the outcome message are wrapped permanent: by then the
@@ -166,8 +185,8 @@ func participateOnce(ctx context.Context, addr string, cfg WorkerConfig) (Worker
 	if err := conn.Send(Message{Type: TypeHello, WorkerID: cfg.ID}); err != nil {
 		return WorkerReport{}, err
 	}
-	announce, err := conn.Expect(TypeAnnounce)
-	if err != nil {
+	var announce announceView
+	if err := conn.expectInto(&announce, TypeAnnounce); err != nil {
 		return WorkerReport{}, err
 	}
 	for _, task := range cfg.Bundle {

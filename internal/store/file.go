@@ -51,6 +51,11 @@ type FileStore struct {
 	pending int    // records in the WAL since the last snapshot
 	every   int
 	closed  bool
+	snap    snapshotEncoder
+	// snapFailures counts automatic snapshots that failed; snapErr is
+	// the latest failure, nil once a snapshot succeeds again.
+	snapFailures int64
+	snapErr      error
 
 	// RecoveredTornBytes reports how many trailing WAL bytes open-time
 	// recovery discarded as torn (0 for a clean shutdown).
@@ -131,7 +136,11 @@ func (s *FileStore) LSN() uint64 {
 
 // record journals one record (durably, before it takes effect) and
 // then folds it into the state; crossing the snapshot cadence rolls
-// the WAL into a fresh snapshot.
+// the WAL into a fresh snapshot. Once the append succeeds the record
+// has happened, so a failed snapshot does not fail it: the WAL still
+// holds every record since the last good snapshot, pending stays at
+// the cadence so the next record retries, and the failure shows in
+// SnapshotFailures.
 func (s *FileStore) record(r Record) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -154,9 +163,21 @@ func (s *FileStore) record(r Record) error {
 	}
 	s.pending++
 	if s.every > 0 && s.pending >= s.every {
-		return s.snapshotLocked()
+		if err := s.snapshotLocked(); err != nil {
+			s.snapFailures++
+			s.snapErr = err
+		}
 	}
 	return nil
+}
+
+// SnapshotFailures reports how many automatic snapshots have failed
+// and the latest failure, which is nil once a snapshot succeeds again.
+// A failed snapshot loses nothing: the records stay in the WAL.
+func (s *FileStore) SnapshotFailures() (int64, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.snapFailures, s.snapErr
 }
 
 // Snapshot forces a snapshot now, folding the WAL into the snapshot
@@ -171,7 +192,7 @@ func (s *FileStore) Snapshot() error {
 }
 
 func (s *FileStore) snapshotLocked() error {
-	if err := writeSnapshot(filepath.Join(s.dir, snapshotFileName), s.lsn, s.st); err != nil {
+	if err := s.snap.writeSnapshot(filepath.Join(s.dir, snapshotFileName), s.lsn, &s.st); err != nil {
 		return err
 	}
 	// The snapshot is durable; stale WAL frames are now harmless (their
@@ -180,6 +201,7 @@ func (s *FileStore) snapshotLocked() error {
 		return err
 	}
 	s.pending = 0
+	s.snapErr = nil
 	return nil
 }
 

@@ -128,7 +128,8 @@ func TestFileStoreCrashBetweenSnapshotAndReset(t *testing.T) {
 	want := s.State()
 	// Write the snapshot by hand WITHOUT resetting the WAL — exactly the
 	// on-disk image a crash between the two steps leaves.
-	if err := writeSnapshot(filepath.Join(dir, snapshotFileName), s.LSN(), want); err != nil {
+	var enc snapshotEncoder
+	if err := enc.writeSnapshot(filepath.Join(dir, snapshotFileName), s.LSN(), &want); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Close(); err != nil {

@@ -282,3 +282,71 @@ func TestRecoveredAccountantEmitsRecoverBaseline(t *testing.T) {
 		t.Fatalf("FinalSpent %v != CumulativeEpsilon %v", led.FinalSpent, led.CumulativeEpsilon)
 	}
 }
+
+// TestFailedSnapshotDoesNotRefuseDurableSpend: a spend whose WAL append
+// succeeded has happened, even when the snapshot it triggers fails. The
+// accountant must accept it, and recovery must reproduce Spent()
+// bit-for-bit; the failure shows in SnapshotFailures and clears once a
+// later record's snapshot goes through.
+func TestFailedSnapshotDoesNotRefuseDurableSpend(t *testing.T) {
+	dir := t.TempDir()
+	js, err := store.Open(dir, store.NoSync(), store.SnapshotEvery(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A non-empty directory under the snapshot's name fails the rename.
+	blocker := filepath.Join(dir, "snapshot.json")
+	if err := os.MkdirAll(filepath.Join(blocker, "occupied"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	acct, err := mechanism.NewAccountant(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := acct.ObserveStore(js); err != nil {
+		t.Fatal(err)
+	}
+	for _, eps := range []float64{0.1, 0.2} {
+		if err := acct.Spend(eps); err != nil {
+			t.Fatalf("Spend(%v) refused after its journal append: %v", eps, err)
+		}
+	}
+	if n, err := js.SnapshotFailures(); n != 2 || err == nil {
+		t.Fatalf("SnapshotFailures = %d, %v; want 2 and the rename error", n, err)
+	}
+
+	// Recovery from the WAL alone, once the obstruction is gone.
+	if err := os.RemoveAll(blocker); err != nil {
+		t.Fatal(err)
+	}
+	if err := js.Close(); err != nil {
+		t.Fatal(err)
+	}
+	js, err = store.Open(dir, store.NoSync(), store.SnapshotEvery(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := js.State().Budget.Spent, acct.Spent(); math.Float64bits(got) != math.Float64bits(want) {
+		t.Fatalf("recovered spent %v, live %v", got, want)
+	}
+
+	// The next record snapshots again and clears the failure.
+	if err := js.RecordSpend(0.3, acct.Spent()+0.3); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := js.SnapshotFailures(); err != nil {
+		t.Fatalf("snapshot still failing after the obstruction was removed: %v", err)
+	}
+	want := js.State()
+	if err := js.Close(); err != nil {
+		t.Fatal(err)
+	}
+	js, err = store.Open(dir, store.NoSync())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = js.Close() }()
+	if got := js.State().Budget.Spent; math.Float64bits(got) != math.Float64bits(want.Budget.Spent) {
+		t.Fatalf("recovered spent %v after snapshot, want %v", got, want.Budget.Spent)
+	}
+}

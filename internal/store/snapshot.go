@@ -5,9 +5,11 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
+	"strconv"
 )
 
 // BudgetState is the accountant's durable core: the exact cumulative
@@ -144,35 +146,165 @@ type snapshotBody struct {
 }
 
 // snapshotFile is the on-disk envelope: the body bytes are CRC32'd so
-// a torn snapshot write is detected rather than loaded.
+// a torn snapshot write is detected rather than loaded. writeSnapshot
+// renders it by hand, byte-identical to json.Marshal of this type.
 type snapshotFile struct {
 	CRC  uint32          `json:"crc32"`
 	Body json.RawMessage `json:"body"`
 }
 
-// writeSnapshot atomically replaces path with the encoded state:
-// write to a temp file in the same directory, fsync, rename. A crash
-// at any point leaves either the old snapshot or the new one, never a
-// half-written file under the real name.
-func writeSnapshot(path string, lsn uint64, st State) error {
-	body, err := json.Marshal(snapshotBody{LSN: lsn, State: st})
+// snapshotEncoder renders snapshot bodies into one buffer reused across
+// snapshots. The body grows with the campaign's completed-round
+// history, so a fresh buffer per snapshot would leave a copy of that
+// history for the collector every SnapshotEvery records.
+type snapshotEncoder struct {
+	buf  []byte
+	keys []string
+	// bad records a NaN or infinite float met during the current body.
+	bad bool
+}
+
+// body returns the bytes of json.Marshal(snapshotBody{lsn, *st}),
+// aliasing the encoder's buffer until the next call. A NaN or infinite
+// float is an error, as it is for json.Marshal.
+func (e *snapshotEncoder) body(lsn uint64, st *State) ([]byte, error) {
+	e.bad = false
+	b := append(e.buf[:0], `{"lsn":`...)
+	b = strconv.AppendUint(b, lsn, 10)
+	b = append(b, `,"state":{"budget":{"spent":`...)
+	b = e.float(b, st.Budget.Spent)
+	b = append(b, `,"releases":`...)
+	b = strconv.AppendInt(b, st.Budget.Releases, 10)
+	b = append(b, `,"refusals":`...)
+	b = strconv.AppendInt(b, st.Budget.Refusals, 10)
+	b = append(b, '}')
+	if len(st.Skills) > 0 {
+		// encoding/json writes map keys in sorted order.
+		e.keys = e.keys[:0]
+		for k := range st.Skills {
+			e.keys = append(e.keys, k)
+		}
+		sort.Strings(e.keys)
+		b = append(b, `,"skills":{`...)
+		for i, k := range e.keys {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = appendString(b, k)
+			b = append(b, ':')
+			b = e.float(b, st.Skills[k])
+		}
+		b = append(b, '}')
+	}
+	c := &st.Campaign
+	b = append(b, `,"campaign":{"rounds":`...)
+	b = strconv.AppendInt(b, int64(c.Rounds), 10)
+	b = append(b, `,"seed":`...)
+	b = strconv.AppendInt(b, c.Seed, 10)
+	b = append(b, `,"next_round":`...)
+	b = strconv.AppendInt(b, int64(c.NextRound), 10)
+	b = append(b, `,"total_payment":`...)
+	b = e.float(b, c.TotalPayment)
+	if len(c.Completed) > 0 {
+		b = append(b, `,"completed":[`...)
+		for i := range c.Completed {
+			r := &c.Completed[i]
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = append(b, `{"round":`...)
+			b = strconv.AppendInt(b, int64(r.Round), 10)
+			b = append(b, `,"payment":`...)
+			b = e.float(b, r.Payment)
+			if len(r.Workers) > 0 {
+				b = append(b, `,"workers":[`...)
+				for j, w := range r.Workers {
+					if j > 0 {
+						b = append(b, ',')
+					}
+					b = appendString(b, w)
+				}
+				b = append(b, ']')
+			}
+			b = append(b, '}')
+		}
+		b = append(b, ']')
+	}
+	b = append(b, "}}}"...)
+	e.buf = b
+	if e.bad {
+		return nil, errors.New("store: snapshot: unsupported float value (NaN or Inf)")
+	}
+	return b, nil
+}
+
+// float appends f as encoding/json renders a float64: shortest
+// round-trip digits, exponent form outside [1e-6, 1e21) with a
+// one-digit negative exponent unpadded.
+func (e *snapshotEncoder) float(b []byte, f float64) []byte {
+	if math.IsNaN(f) || math.IsInf(f, 0) {
+		e.bad = true
+		return b
+	}
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	b = strconv.AppendFloat(b, f, format, -1, 64)
+	if format == 'e' {
+		// e-09 -> e-9
+		if n := len(b); n >= 4 && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
+			b[n-2] = b[n-1]
+			b = b[:n-1]
+		}
+	}
+	return b
+}
+
+// appendString appends s as a JSON string exactly as json.Marshal
+// renders it. Worker IDs are plain ASCII in practice and are copied
+// through; anything encoding/json would escape (quotes, backslashes,
+// <>&, control bytes, non-ASCII) goes through json.Marshal itself.
+func appendString(b []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < 0x20 || c >= 0x80 || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			q, _ := json.Marshal(s) // a string always marshals
+			return append(b, q...)
+		}
+	}
+	b = append(b, '"')
+	b = append(b, s...)
+	return append(b, '"')
+}
+
+// writeSnapshot atomically replaces path with the snapshot of st at
+// lsn: write to a temp file in the same directory, fsync, rename. A
+// crash at any point leaves either the old snapshot or the new one,
+// never a half-written file under the real name. The envelope
+// {"crc32":N,"body":BODY} is written around the body bytes rather than
+// marshalled a second time; nothing is written when the body cannot
+// be encoded.
+func (e *snapshotEncoder) writeSnapshot(path string, lsn uint64, st *State) error {
+	body, err := e.body(lsn, st)
 	if err != nil {
 		return err
 	}
-	env, err := json.Marshal(snapshotFile{CRC: crc32.ChecksumIEEE(body), Body: body})
-	if err != nil {
-		return err
-	}
+	var head [32]byte
+	h := append(head[:0], `{"crc32":`...)
+	h = strconv.AppendUint(h, uint64(crc32.ChecksumIEEE(body)), 10)
+	h = append(h, `,"body":`...)
 	dir := filepath.Dir(path)
 	tmp, err := os.CreateTemp(dir, ".snapshot-*.tmp")
 	if err != nil {
 		return err
 	}
 	tmpName := tmp.Name()
-	if _, err := tmp.Write(env); err != nil {
-		_ = tmp.Close()
-		_ = os.Remove(tmpName)
-		return err
+	for _, part := range [][]byte{h, body, []byte("}")} {
+		if _, err := tmp.Write(part); err != nil {
+			_ = tmp.Close()
+			_ = os.Remove(tmpName)
+			return err
+		}
 	}
 	if err := tmp.Sync(); err != nil {
 		_ = tmp.Close()
