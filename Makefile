@@ -75,12 +75,14 @@ test-recovery:
 		./internal/mechanism/ ./internal/telemetry/evlog/
 
 # Short fuzzing passes over the wire-format, instance-validation,
-# greedy-chain, WAL-recovery and snapshot-encoding targets, seeded from
-# the on-disk corpora under testdata/fuzz/ and the in-code seeds.
+# greedy-chain, marginal-gain, WAL-recovery and snapshot-encoding
+# targets, seeded from the on-disk corpora under testdata/fuzz/ and the
+# in-code seeds.
 fuzz-smoke:
 	$(GO) test ./internal/protocol/ -run='^$$' -fuzz='^FuzzMessageDecode$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/protocol/ -run='^$$' -fuzz='^FuzzConnRecv$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/core/ -run='^$$' -fuzz='^FuzzValidate$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/core/ -run='^$$' -fuzz='^FuzzChainMatchesScratch$$' -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/core/ -run='^$$' -fuzz='^FuzzGainMatchesReference$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/store/ -run='^$$' -fuzz='^FuzzWALDecode$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/store/ -run='^$$' -fuzz='^FuzzSnapshotEncode$$' -fuzztime=$(FUZZTIME)

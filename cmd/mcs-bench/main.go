@@ -400,22 +400,28 @@ func absoluteGates(fresh benchFile) []string {
 // scaling series.
 var scalingSizes = []int{100, 400, 800, 1600}
 
+// settingIIIPoint is the core suite's build benchmark at the paper's
+// large-scale point (Setting III, K=200, N=1000), the offline clearing
+// point of the repository benchmark.
+const settingIIIPoint = "AuctionNew/SettingIII"
+
 // coreBenches is the original suite: auction construction and sampling
 // plus the telemetry nop-vs-live overhead pair, followed by the Setting
-// I AuctionNew/N=... scaling series, which reports each build's
-// marginal-gain evaluations as "gain-evals".
+// I AuctionNew/N=... scaling series and the AuctionNew/SettingIII
+// point, which report each build's marginal-gain evaluations as
+// "gain-evals".
 func coreBenches(workers int) ([]namedBench, error) {
 	inst, err := dphsrc.SettingI(workers).Generate(rand.New(rand.NewSource(1)))
 	if err != nil {
 		return nil, err
 	}
 	var scaling []namedBench
-	for _, n := range scalingSizes {
-		sized, err := dphsrc.SettingI(n).Generate(rand.New(rand.NewSource(1)))
+	addBuild := func(name string, p dphsrc.WorkloadParams) error {
+		sized, err := p.Generate(rand.New(rand.NewSource(1)))
 		if err != nil {
-			return nil, err
+			return err
 		}
-		scaling = append(scaling, namedBench{fmt.Sprintf("AuctionNew/N=%d", n), func(b *testing.B) {
+		scaling = append(scaling, namedBench{name, func(b *testing.B) {
 			evals := 0
 			for i := 0; i < b.N; i++ {
 				a, err := dphsrc.New(sized)
@@ -426,6 +432,15 @@ func coreBenches(workers int) ([]namedBench, error) {
 			}
 			b.ReportMetric(float64(evals), "gain-evals")
 		}})
+		return nil
+	}
+	for _, n := range scalingSizes {
+		if err := addBuild(fmt.Sprintf("AuctionNew/N=%d", n), dphsrc.SettingI(n)); err != nil {
+			return nil, err
+		}
+	}
+	if err := addBuild(settingIIIPoint, dphsrc.SettingIII(1000)); err != nil {
+		return nil, err
 	}
 	auction, err := dphsrc.New(inst)
 	if err != nil {

@@ -127,8 +127,11 @@ func TestRunWritesParseableJSON(t *testing.T) {
 	if _, ok := byName["AuctionNewInstrumented"]; !ok {
 		t.Error("instrumented auction benchmark missing")
 	}
+	names := []string{settingIIIPoint}
 	for _, n := range scalingSizes {
-		name := fmt.Sprintf("AuctionNew/N=%d", n)
+		names = append(names, fmt.Sprintf("AuctionNew/N=%d", n))
+	}
+	for _, name := range names {
 		if b, ok := byName[name]; !ok || b.Metrics["gain-evals"] <= 0 {
 			t.Errorf("scaling point %s missing or without gain-evals: %+v", name, b)
 		}

@@ -27,6 +27,98 @@ func scratchFeasible(cp *coverProblem, cands []int) bool {
 	return true
 }
 
+// gainRef is the reference marginal gain with both branches spelled
+// out: it skips met tasks and picks min(q, r) by comparison. The
+// branch-free gain must match it bit for bit on every residual the
+// greedy can reach.
+func gainRef(cp *coverProblem, i int, residual []float64) float64 {
+	g := 0.0
+	for k := cp.offs[i]; k < cp.offs[i+1]; k++ {
+		r := residual[cp.taskIdx[k]]
+		if r <= 0 {
+			continue
+		}
+		q := cp.qual[k]
+		if q < r {
+			g += q
+		} else {
+			g += r
+		}
+	}
+	return g
+}
+
+// gainMismatch compares gain with gainRef for every worker against
+// residual, bit for bit.
+func gainMismatch(cp *coverProblem, residual []float64) error {
+	for i := 0; i+1 < len(cp.offs); i++ {
+		got, want := cp.gain(i, residual), gainRef(cp, i, residual)
+		if math.Float64bits(got) != math.Float64bits(want) {
+			return fmt.Errorf("worker %d against %v: gain %v (%#x), reference %v (%#x)",
+				i, residual, got, math.Float64bits(got), want, math.Float64bits(want))
+		}
+	}
+	return nil
+}
+
+// TestGainMatchesReference pins the branch-free gain to the two-branch
+// loop on the cases where the branches used to matter: a task met by
+// apply (residual +0), quality equal to the residual, zero quality
+// (theta 0.5) and quality above the residual.
+func TestGainMatchesReference(t *testing.T) {
+	cases := []struct {
+		name    string
+		demands []float64
+		bundles [][]int
+		thetas  [][]float64 // per bundle entry
+		applied []int       // workers applied before the check, in order
+		worker  int
+		want    float64
+	}{
+		{name: "residual met by apply", demands: []float64{0.25, 1},
+			bundles: [][]int{{0, 1}, {0, 1}}, thetas: [][]float64{{0, 0.75}, {1, 1}},
+			applied: []int{0}, worker: 1, want: 0.75},
+		{name: "quality equals residual", demands: []float64{0.25},
+			bundles: [][]int{{0}}, thetas: [][]float64{{0.75}}, worker: 0, want: 0.25},
+		{name: "zero quality", demands: []float64{0.7, 0.7},
+			bundles: [][]int{{0, 1}}, thetas: [][]float64{{0.5, 0.5}}, worker: 0, want: 0},
+		{name: "zero quality on a met task", demands: []float64{0.25},
+			bundles: [][]int{{0}, {0}}, thetas: [][]float64{{1}, {0.5}},
+			applied: []int{0}, worker: 1, want: 0},
+		{name: "quality above residual", demands: []float64{0.3, 0.04},
+			bundles: [][]int{{0, 1}}, thetas: [][]float64{{1, 0.9}}, worker: 0, want: 0.34},
+		{name: "every branch at once", demands: []float64{0.25, 0.25, 0.5, 2},
+			bundles: [][]int{{0}, {0, 1, 2, 3}}, thetas: [][]float64{{1}, {0.9, 0.75, 0.5, 0.8}},
+			applied: []int{0}, worker: 1, want: 0.25 + 0.36},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cp := coverProblem{numTasks: len(tc.demands), demands: tc.demands}
+			for i, bundle := range tc.bundles {
+				cp.offs = append(cp.offs, len(cp.taskIdx))
+				for k, j := range bundle {
+					cp.taskIdx = append(cp.taskIdx, j)
+					cp.qual = append(cp.qual, qualityOf(tc.thetas[i][k]))
+				}
+			}
+			cp.offs = append(cp.offs, len(cp.taskIdx))
+			residual := append([]float64(nil), tc.demands...)
+			for _, i := range tc.applied {
+				if err := gainMismatch(&cp, residual); err != nil {
+					t.Fatal(err)
+				}
+				cp.apply(i, residual)
+			}
+			if err := gainMismatch(&cp, residual); err != nil {
+				t.Fatal(err)
+			}
+			if got := cp.gain(tc.worker, residual); math.Abs(got-tc.want) > 1e-12 {
+				t.Fatalf("gain(%d) = %v, want %v", tc.worker, got, tc.want)
+			}
+		})
+	}
+}
+
 // scratchGreedy is the from-scratch lazy greedy RuleGreedy ran for each
 // distinct candidate count before the chain: a fresh heap of every
 // candidate's full-demand gain, then CELF until the demands are met or

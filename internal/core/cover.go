@@ -108,21 +108,18 @@ func (a *intArena) reset() { a.buf = a.buf[:0] }
 
 // gain returns the marginal coverage sum_j min(residual_j, q_ij) worker
 // i would contribute given the current residual demands (Algorithm 1
-// line 9).
+// line 9). The loop has no branch on the data: a met task (residual
+// +0, never negative) adds min(q, +0) = +0, and g + (+0) == g, so the
+// sum is bit-identical to one that skips met tasks.
 func (cp *coverProblem) gain(i int, residual []float64) float64 {
 	cp.evals++
+	lo, hi := cp.offs[i], cp.offs[i+1]
+	tasks := cp.taskIdx[lo:hi]
+	qual := cp.qual[lo:hi]
+	qual = qual[:len(tasks)] // equal lengths: no bounds check on qual[k]
 	g := 0.0
-	for k := cp.offs[i]; k < cp.offs[i+1]; k++ {
-		r := residual[cp.taskIdx[k]]
-		if r <= 0 {
-			continue
-		}
-		q := cp.qual[k]
-		if q < r {
-			g += q
-		} else {
-			g += r
-		}
+	for k, j := range tasks {
+		g += min(qual[k], residual[j])
 	}
 	return g
 }

@@ -116,6 +116,60 @@ func FuzzChainMatchesScratch(f *testing.F) {
 	})
 }
 
+// FuzzGainMatchesReference walks random instances through apply in a
+// random order, from the full demand until every worker is applied, and
+// checks at every residual on the way that the branch-free gain equals
+// the two-branch reference bit for bit for every worker. Skills are
+// drawn from few levels, theta 0.5 (zero quality) among them, so met
+// tasks, zero qualities and quality-equals-residual ties are common.
+func FuzzGainMatchesReference(f *testing.F) {
+	f.Add(int64(1), uint8(6), uint8(3), uint8(2))
+	f.Add(int64(9), uint8(30), uint8(8), uint8(4))
+	f.Add(int64(-5), uint8(2), uint8(1), uint8(0))
+	f.Fuzz(func(t *testing.T, seed int64, nRaw, kRaw, levelsRaw uint8) {
+		r := rand.New(rand.NewSource(seed))
+		n := 1 + int(nRaw)%32
+		k := 1 + int(kRaw)%8
+		levels := 1 + int(levelsRaw)%5
+		inst := Instance{NumTasks: k, Epsilon: 0.5, CMin: 10, CMax: 60, PriceGrid: []float64{60}}
+		for j := 0; j < k; j++ {
+			inst.Thresholds = append(inst.Thresholds, 0.2+0.5*float64(r.Intn(levels))/float64(levels))
+		}
+		for i := 0; i < n; i++ {
+			var bundle []int
+			for j := 0; j < k; j++ {
+				if r.Intn(2) == 0 {
+					bundle = append(bundle, j)
+				}
+			}
+			if len(bundle) == 0 {
+				bundle = []int{r.Intn(k)}
+			}
+			row := make([]float64, k)
+			for j := range row {
+				row[j] = 0.5 + 0.5*float64(r.Intn(levels+1))/float64(levels)
+			}
+			inst.Workers = append(inst.Workers, Worker{Bundle: bundle, Bid: 10})
+			inst.Skills = append(inst.Skills, row)
+		}
+		if err := inst.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		var cp coverProblem
+		cp.reset(&inst)
+		residual := append([]float64(nil), cp.demands...)
+		for _, i := range r.Perm(n) {
+			if err := gainMismatch(&cp, residual); err != nil {
+				t.Fatal(err)
+			}
+			cp.apply(i, residual)
+		}
+		if err := gainMismatch(&cp, residual); err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
 func maxInt(a, b int) int {
 	if a > b {
 		return a
